@@ -64,11 +64,14 @@ fleet-test:
 
 ## jit-test runs the codegen-engine suite under the race detector: the
 ## per-kernel truth-table proofs (scalar, one-word and wide planes), the
-## engine's unit tests, the checked-in differential fuzz corpus replay and
-## the bit-identical resume tests.
+## engine's unit tests (gang vs one-worker equivalence, stripe ownership),
+## the checked-in differential fuzz corpus replay and the bit-identical
+## resume tests. A one-iteration smoke of the barrier and jit step-loop
+## microbenchmarks keeps them building.
 jit-test:
 	$(GO) test -race -timeout 5m -count=1 ./internal/codegen
 	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|FuzzEngines|TestFuzzCorpusSeedsReplay' .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/barrier ./internal/codegen
 
 check: build vet lint test race chaos serve-test auto-test ckpt-test fleet-test jit-test
 

@@ -75,3 +75,22 @@ func TestBadCountPanics(t *testing.T) {
 	}()
 	New(0)
 }
+
+// BenchmarkWait is the cost of one barrier round trip between two
+// goroutines: b.N rounds, each worker passing the barrier once per round.
+func BenchmarkWait(b *testing.B) {
+	bar := New(2)
+	done := make(chan struct{})
+	go func() {
+		var s Sense
+		for i := 0; i < b.N; i++ {
+			bar.Wait(&s)
+		}
+		close(done)
+	}()
+	var s Sense
+	for i := 0; i < b.N; i++ {
+		bar.Wait(&s)
+	}
+	<-done
+}

@@ -2,20 +2,24 @@
 // the circuit's levelized schedule is lowered once, at run start, into a
 // per-level program of branch-free word-op batches over a struct-of-arrays
 // state layout, and the step loop then executes that program with one
-// sense-reversing barrier per level across the workers — Manticore's
-// static bulk-synchronous schedule on a general-purpose machine.
+// sense-reversing barrier per step across the workers — the paper's
+// compiled-mode cycle, in Manticore's static bulk-synchronous form on a
+// general-purpose machine.
 //
 // Node state lives in two flat []uint64 slabs per buffer side (value and
 // unknown planes), indexed by a compile-time node numbering ordered by
-// schedule level so each level reads and writes dense stripes. The 1- and
-// 2-input gates — the bulk of every gate-level netlist — run as fused
-// batch loops with no per-element dispatch at all; every other kind runs
-// through the batched engine's proven plane-op kernels (bit-sliced
-// mul/alu/rom/ram included) devirtualized into the level sequence. Like
-// the vector engine, N stimulus lanes advance together (default 1, the
-// scalar-identical lane), and the unit-delay double buffer makes levels a
-// pure batching device: the per-level barriers order memory traffic, not
-// values, so a one-worker run skips them entirely.
+// schedule level so each level reads and writes dense stripes. Each worker
+// owns one contiguous, cost-balanced stripe of those slabs, so the gang
+// shares cache lines only at the cuts. The 1- and 2-input gates — the bulk
+// of every gate-level netlist — run as fused batch loops with no
+// per-element dispatch at all; every other kind runs through the batched
+// engine's proven plane-op kernels (bit-sliced mul/alu/rom/ram included)
+// devirtualized into the level sequence. Like the vector engine, N stimulus
+// lanes advance together (default 1, the scalar-identical lane), and the
+// unit-delay double buffer makes levels a pure batching device: a level
+// reads only the previous step's side, so the step boundary is the only
+// dependence and its barrier the only one the gang takes. That barrier
+// (with its two clock reads for idle time) runs at one worker too.
 package codegen
 
 import (
@@ -31,7 +35,6 @@ import (
 	"parsim/internal/engine"
 	"parsim/internal/guard"
 	"parsim/internal/logic"
-	"parsim/internal/partition"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
 	"parsim/internal/vector"
@@ -43,7 +46,6 @@ type Options struct {
 	Horizon  circuit.Time // simulate unit-delay steps t in [0, Horizon)
 	Probe    trace.Probe  // optional observer of lane ProbeLane; concurrency-safe
 	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	Strategy partition.Strategy
 	Guard    *guard.Supervisor
 
 	// Lanes is the number of live stimulus lanes (1..logic.MaxWideLanes;
@@ -145,7 +147,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		c:        c,
 		opts:     opts,
 		p:        p,
-		prog:     compileProgram(c, p, opts.Strategy, opts.Lanes, opts.LaneStride),
+		prog:     compileProgram(c, p, opts.Lanes, opts.LaneStride),
 		words:    logic.PlaneWords(opts.Lanes),
 		laneMask: logic.LaneMasks(opts.Lanes),
 		bar:      barrier.New(p),
@@ -262,7 +264,7 @@ func (s *sim) finish(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 		res.LaneFinal[l] = s.extractLane(planes, l)
 	}
 	res.Run = stats.Run{
-		Algorithm: fmt.Sprintf("jit(%s)x%d", opts.Strategy, opts.Lanes),
+		Algorithm: fmt.Sprintf("jit(stripe)x%d", opts.Lanes),
 		Circuit:   c.Name,
 		Horizon:   opts.Horizon,
 		Workers:   p,
@@ -305,12 +307,6 @@ func (s *sim) worker(id int) {
 
 	gens := s.prog.gens[id]
 	work := s.prog.work[id]
-	// One worker needs no per-level ordering at all: the unit-delay double
-	// buffer means levels never read this step's writes, so the barriers
-	// are pure lockstep. They exist (at p > 1) to keep the gang sweeping
-	// the same dense level stripe at the same time — the bulk-synchronous
-	// schedule — not for correctness.
-	multi := s.p > 1
 	// With one plane word and no probe the per-span scan collapses to
 	// noteLevel's single flat loop over the level's (offset, width) pairs.
 	fastNote := s.opts.Probe == nil && s.words == 1
@@ -350,6 +346,10 @@ func (s *sim) worker(id int) {
 			g.Write(t+1, next.planes)
 			s.noteSpan(id, g.Out, t+1, cur, next)
 		}
+		// No barrier between levels: the unit-delay double buffer means a
+		// level reads only the cur side, never this step's writes, so the
+		// step boundary is the only dependence. Each worker runs its whole
+		// stripe through every level and meets the gang once per step.
 		for sl := range work {
 			lw := &work[sl]
 			if lw.elems > 0 {
@@ -374,18 +374,6 @@ func (s *sim) worker(id int) {
 					for _, sp := range lw.spans {
 						s.noteSpan(id, sp, t+1, cur, next)
 					}
-				}
-			}
-			if multi && sl < len(work)-1 {
-				// Per-level bulk-synchronous barrier; the last level's is
-				// the end-of-step barrier below. Every worker holds the
-				// same slot count, so the gang always agrees.
-				t0 := time.Now()
-				s.wc[id].BarrierWaits++
-				ok := s.bar.Wait(&sense)
-				idle += time.Since(t0)
-				if !ok {
-					return
 				}
 			}
 		}

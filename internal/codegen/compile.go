@@ -6,7 +6,6 @@ import (
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
 	"parsim/internal/logic"
-	"parsim/internal/partition"
 	"parsim/internal/vector"
 )
 
@@ -14,7 +13,7 @@ import (
 // program — a per-(worker, level) sequence of fused gate batches and
 // devirtualized element kernels over a struct-of-arrays plane numbering.
 // Compilation happens once per run; the step loop then executes
-// straight-line batch loops with one barrier per level.
+// straight-line batch loops with one barrier per step.
 
 // program is one circuit compiled for p workers at a lane width.
 type program struct {
@@ -27,7 +26,7 @@ type program struct {
 	slots int // level slots: slot 0 = cycle-fed (-1), slot l+1 = level l
 	// work[w][slot] is worker w's slice of one level.
 	work [][]levelWork
-	// gens[w] are worker w's stimulus generators (round-robin).
+	// gens[w] are the stimulus generators in worker w's stripe.
 	gens [][]vector.GenExec
 }
 
@@ -62,7 +61,7 @@ func tableKind(k circuit.Kind) bool {
 
 // compileProgram lowers c for p workers. lanes and stride follow the
 // batched engine's lane semantics (lane 0 replays the scalar stimulus).
-func compileProgram(c *circuit.Circuit, p int, strat partition.Strategy, lanes int, stride int64) *program {
+func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program {
 	words := logic.PlaneWords(lanes)
 	levels := analyze.LevelSchedule(c)
 	maxLevel := -1
@@ -106,16 +105,21 @@ func compileProgram(c *circuit.Circuit, p int, strat partition.Strategy, lanes i
 
 	prog := &program{off: off, total: int(total), slots: slots}
 
-	// Partition ownership is the same static split every synchronous
-	// engine uses; within a worker, elements group by level and, inside a
-	// level, fused gates batch by shape in element order.
-	parts := partition.Split(c, p, strat)
+	// Ownership is a stripe cut of the slabs (see stripes); within a
+	// worker, elements group by level and, inside a level, fused gates
+	// batch by shape in element order.
+	owner := stripes(c, p, levels, off)
+	parts := make([][]circuit.ElemID, p)
+	for i := range c.Elems {
+		if !c.Elems[i].IsGenerator() {
+			parts[owner[i]] = append(parts[owner[i]], circuit.ElemID(i))
+		}
+	}
 	prog.work = make([][]levelWork, p)
 	for w := range prog.work {
 		prog.work[w] = make([]levelWork, slots)
 	}
-	for w, part := range parts {
-		eids := append([]circuit.ElemID(nil), part...)
+	for w, eids := range parts {
 		sort.Slice(eids, func(i, j int) bool {
 			si, sj := slotOf(levels[eids[i]]), slotOf(levels[eids[j]])
 			if si != sj {
@@ -188,9 +192,61 @@ func compileProgram(c *circuit.Circuit, p int, strat partition.Strategy, lanes i
 	}
 
 	prog.gens = make([][]vector.GenExec, p)
-	for i, g := range c.Generators() {
-		w := i % p
+	for _, g := range c.Generators() {
+		w := owner[g]
 		prog.gens[w] = append(prog.gens[w], vector.CompileGenExec(c, &c.Elems[g], off, lanes, stride))
 	}
 	return prog
+}
+
+// stripes assigns every element an owning worker. It takes the elements in
+// slab order — by (level slot, first output plane) — and cuts them into p
+// contiguous runs of equal summed Cost, so each worker writes one
+// contiguous range of the next slabs and the gang shares at most the cache
+// lines at the p-1 cuts. (A round-robin deal puts neighbouring planes, and
+// so the same lines, on different workers at every level.) Generators ride
+// in the cut too: their outputs are slab writes like any other.
+func stripes(c *circuit.Circuit, p int, levels []int, off []int32) []int {
+	owner := make([]int, len(c.Elems))
+	if p == 1 {
+		return owner
+	}
+	type key struct {
+		slot int
+		off  int32
+		id   circuit.ElemID
+	}
+	keys := make([]key, len(c.Elems))
+	var total int64
+	for i := range c.Elems {
+		el := &c.Elems[i]
+		keys[i] = key{slot: slotOf(levels[i]), off: -1, id: el.ID}
+		if len(el.Out) > 0 {
+			keys[i].off = off[el.Out[0]]
+		}
+		total += el.Cost
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.slot != b.slot {
+			return a.slot < b.slot
+		}
+		if a.off != b.off {
+			return a.off < b.off
+		}
+		return a.id < b.id
+	})
+	var before int64
+	for i, k := range keys {
+		// An element belongs to the run its cost midpoint falls in; the
+		// midpoints ascend, so every run is contiguous. Zero total cost
+		// cuts by count instead.
+		w := i * p / len(keys)
+		if cost := c.Elems[k.id].Cost; total > 0 {
+			w = min(int((2*before+cost)*int64(p)/(2*total)), p-1)
+			before += cost
+		}
+		owner[k.id] = w
+	}
+	return owner
 }

@@ -17,6 +17,8 @@ import (
 // paper circuits — the gate-level multiplier and the microprocessor — at
 // 1, 2 and 4 workers, and reports the jit/compiled speed-up per worker
 // count. Acceptance: >= 1.5x over compiled at one worker on both circuits.
+// The notes also record jit's own wall at each worker count relative to
+// one worker, the ROADMAP's gang-scaling bound.
 //
 // Like v1/v2/f1/a1/c1, j1 is not part of IDs(): it always measures real
 // wall-clock, so `make bench-jit` regenerates the tracked BENCH_jit.json
@@ -47,9 +49,13 @@ func j1(cfg Config) *Figure {
 	for _, name := range []string{"mult16-gate", "microprocessor"} {
 		b := benches[name]
 		s := Series{Name: name}
+		var jit1 float64
 		for _, workers := range workerSweep {
 			cw := wall("compiled", b, workers)
 			jw := wall("jit", b, workers)
+			if workers == 1 {
+				jit1 = jw
+			}
 			sp := 0.0
 			if jw > 0 {
 				sp = cw / jw
@@ -57,8 +63,8 @@ func j1(cfg Config) *Figure {
 			s.X = append(s.X, float64(workers))
 			s.Y = append(s.Y, sp)
 			f.Notes = append(f.Notes, fmt.Sprintf(
-				"%s x %d workers: compiled %.2fms, jit %.2fms — %.2fx",
-				name, workers, cw/1e6, jw/1e6, sp))
+				"%s x %d workers: compiled %.2fms, jit %.2fms — %.2fx; jit wall %.2fx its 1-worker wall",
+				name, workers, cw/1e6, jw/1e6, sp, jw/jit1))
 		}
 		f.Series = append(f.Series, s)
 	}

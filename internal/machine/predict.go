@@ -257,26 +257,24 @@ func (m *predictor) vector() Prediction {
 }
 
 // jit models the statically compiled codegen engine: the compiled curve
-// with the per-element dispatch term compiled away, paid for by one
-// barrier per schedule level (instead of one per tick) when parallel, and
-// the same lane amortisation as vector for batched jobs. Like every
-// rank-order engine it is gated on unit delays.
+// with the per-element dispatch term compiled away, one barrier per tick
+// when parallel, and the same lane amortisation as vector for batched
+// jobs. Like every rank-order engine it is gated on unit delays.
 func (m *predictor) jit() Prediction {
 	cm := m.opts.Cost
 	n := float64(m.p.Elements - m.p.Generators)
 	work := n*jitOverhead + float64(m.p.TotalCost)*m.spin()
-	// One sense-reversing barrier per level slot per tick (the unlevelized
-	// slot and the end-of-step barrier included).
-	levels := float64(m.p.MaxLevel + 2)
 	best := Prediction{Engine: "jit", Eligible: true, Span: math.MaxFloat64}
 	for _, p := range m.workerSweep() {
-		cq := m.bestStrategy(p)
-		span := cm.dilation(p) * work / float64(p) * cq.Imbalance
+		// jit cuts its own contiguous equal-cost stripes rather than taking
+		// a partition strategy; they balance about as well as the best
+		// static split, so that split's imbalance stands in for theirs.
+		span := cm.dilation(p) * work / float64(p) * m.bestStrategy(p).Imbalance
 		if p > 1 {
-			span += levels * (cm.BarrierBase + cm.BarrierPerP*float64(p))
+			span += cm.BarrierBase + cm.BarrierPerP*float64(p)
 		}
 		if span < best.Span {
-			best.Span, best.Workers, best.Strategy = span, p, cq.Strategy
+			best.Span, best.Workers = span, p
 		}
 	}
 	best.Lanes = m.opts.Lanes

@@ -235,7 +235,8 @@ const (
 	// batches of branch-free word kernels over a struct-of-arrays state
 	// layout — fused 1/2-input gate loops with no per-element dispatch,
 	// devirtualized plane-op kernels for everything else — executed with
-	// one barrier per level across the workers. Semantically it is the
+	// one barrier per step across the workers, each of which owns one
+	// contiguous, cost-balanced stripe of the state. Semantically it is the
 	// Compiled algorithm (unit-delay, every element every step) run
 	// through a compiler instead of an interpreter; Options.Lanes widens
 	// it to N stimulus lanes exactly as Vector (default 1).
