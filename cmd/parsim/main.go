@@ -14,20 +14,19 @@
 // -json replaces the text summary with a machine-readable run report on
 // stdout — the same schema the parsimd daemon serves for finished jobs.
 //
-// -alg vector selects the bit-parallel batched engine: -lanes packs seed-
-// shifted stimulus vectors into one run (64 per machine word, planes widen
-// beyond that), -lane-stride sets the per-lane rand/gray seed offset, and
-// -probe-lane picks the lane that -watch, -vcd and the final values
-// observe.
-//
 // -alg jit selects the statically compiled engine: the levelized schedule
 // is lowered at run start into per-level fused batch loops over flat
 // struct-of-arrays planes — the fastest scalar engine on unit-delay
-// circuits, and it takes the same -lanes/-lane-stride/-probe-lane axis as
-// the vector engine.
+// circuits. It carries a lane axis: -lanes packs seed-shifted stimulus
+// vectors into one run (64 per machine word, planes widen beyond that),
+// -lane-stride sets the per-lane rand/gray seed offset, and -probe-lane
+// picks the lane that -watch, -vcd and the final values observe.
+// -alg vector is the same engine under its batched name: the only
+// difference is that -lanes 0 means one full 64-lane word instead of one
+// lane.
 //
-// -faults turns the run into concurrent stuck-at fault simulation on the
-// vector engine (auto-selected when -alg is not given): lane 0 simulates
+// -faults turns the run into concurrent stuck-at fault simulation on a
+// lane engine (vector, auto-selected when -alg is not given): lane 0 simulates
 // the good machine, every other lane injects one fault from the circuit's
 // collapsed stuck-at list, and the run reports fault coverage.
 // -fault-passes caps the chunked passes; -fault-statuses lists every fault
@@ -38,7 +37,7 @@
 // previous snapshot intact); -checkpoint-every sets the interval in time
 // steps. -resume continues from such a snapshot under the same netlist and
 // options, replaying bit-identically to an uninterrupted run. Sequential,
-// compiled and vector runs (including fault simulation) support it.
+// compiled, jit and vector runs (including fault simulation) support it.
 //
 // -engine selects the engine by registry name and overrides -alg; its
 // headline value is `-engine auto`, which profiles the circuit statically,
@@ -101,10 +100,10 @@ func main() {
 		vcdPath     = flag.String("vcd", "", "write watched-node waveforms to this VCD file")
 		noSteal     = flag.Bool("no-steal", false, "event-driven: disable work stealing")
 		central     = flag.Bool("central", false, "event-driven: use the contended central queue")
-		lanes       = flag.Int("lanes", 0, fmt.Sprintf("vector: stimulus lanes, 1-%d (0 = 64, one word; wider counts use multi-word planes)", parsim.MaxLanes))
-		laneStride  = flag.Int64("lane-stride", 0, "vector: per-lane rand/gray seed offset (0 = 1)")
-		probeLane   = flag.Int("probe-lane", 0, "vector: lane observed by -watch/-vcd and reported as final values")
-		faults      = flag.Bool("faults", false, "run concurrent stuck-at fault simulation (vector engine; auto-selected unless -alg is given)")
+		lanes       = flag.Int("lanes", 0, fmt.Sprintf("jit/vector: stimulus lanes, 1-%d (0 = the engine's default: 1 for jit, 64 for vector; counts past 64 use multi-word planes)", parsim.MaxLanes))
+		laneStride  = flag.Int64("lane-stride", 0, "jit/vector: per-lane rand/gray seed offset (0 = 1)")
+		probeLane   = flag.Int("probe-lane", 0, "jit/vector: lane observed by -watch/-vcd and reported as final values")
+		faults      = flag.Bool("faults", false, "run concurrent stuck-at fault simulation (jit/vector; vector is auto-selected unless -alg is given)")
 		faultPasses = flag.Int("fault-passes", 0, "faults: cap the number of chunked fault passes (0 = simulate the whole list)")
 		faultStat   = flag.Bool("fault-statuses", false, "faults: include per-fault site/step rows in the JSON report")
 		spin        = flag.Int64("spin", 0, "synthetic work multiplier per evaluation")
@@ -137,8 +136,8 @@ func main() {
 
 	// Resolve the algorithm through the facade, which dispatches through
 	// the same engine registry the figure harness and the daemon use.
-	// Fault simulation lives on the vector engine; -faults implies it
-	// unless the user explicitly picked an algorithm.
+	// Fault simulation runs on a lane engine; -faults implies vector (64
+	// lanes by default) unless the user explicitly picked an algorithm.
 	if *faults {
 		algSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -348,7 +347,7 @@ func runProfile(argv []string) {
 		netlistPath = fs.String("netlist", "", "netlist file to profile")
 		benchName   = fs.String("bench", "", "built-in benchmark circuit (see parsim -help)")
 		workers     = fs.Int("workers", runtime.NumCPU(), "worker budget for the engine predictions")
-		lanes       = fs.Int("lanes", 0, "stimulus lanes the job would use (forces the vector engine when > 1)")
+		lanes       = fs.Int("lanes", 0, "stimulus lanes the job would use (forces the lane engine, jit, when > 1)")
 		spin        = fs.Int64("spin", 0, "synthetic work multiplier per evaluation, as -spin on a run")
 		jsonOut     = fs.Bool("json", false, "emit profile and predictions as JSON instead of text")
 	)

@@ -3,7 +3,6 @@ package analyze
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,13 +12,11 @@ import (
 // LevelSchedule computes each element's combinational depth — the same
 // Kahn levelization Analyze reports in Report.Levels — without running the
 // diagnostic passes. Elements inside (or fed only through) sequential
-// feedback that cannot be levelized get -1. The batched vector engine uses
-// this to order each static partition so that evaluation sweeps the node
-// arrays in dependency depth order; the codegen engine additionally derives
-// its node numbering from it.
+// feedback that cannot be levelized get -1. The codegen engine (jit and
+// vector) derives its node numbering and per-level program from it.
 //
 // Levelization is memoized by a structural digest of the circuit, so the
-// profiler, the vector engine and the codegen engine all levelizing the
+// profiler, the linter and the codegen engine all levelizing the
 // same circuit (or structurally identical clones of it) pay for one Kahn
 // pass. The returned slice is a fresh copy the caller may mutate.
 func LevelSchedule(c *circuit.Circuit) []int {
@@ -27,21 +24,6 @@ func LevelSchedule(c *circuit.Circuit) []int {
 	out := make([]int, len(e.levels))
 	copy(out, e.levels)
 	return out
-}
-
-// OrderByLevel sorts each partition in place by ascending level (depth -1
-// first, then 0, 1, ...), breaking ties by element ID so the schedule is
-// deterministic for a given circuit and partitioning.
-func OrderByLevel(parts [][]circuit.ElemID, levels []int) {
-	for _, part := range parts {
-		sort.Slice(part, func(i, j int) bool {
-			li, lj := levels[part[i]], levels[part[j]]
-			if li != lj {
-				return li < lj
-			}
-			return part[i] < part[j]
-		})
-	}
 }
 
 // levelizeRuns counts the levelization passes that actually ran (cache

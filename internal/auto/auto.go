@@ -8,12 +8,10 @@
 //
 // Config.Workers acts as a budget: the winner may run fewer workers than
 // the budget (a feedback-dominated circuit is fastest on one worker), never
-// more. Config.Lanes > 1 forces the vector engine: of the two engines that
-// produce LaneFinal (vector and jit) it is the one whose bit-sliced
-// functional kernels are tuned for wide batches, and a forced winner keeps
-// batched selection deterministic.
-// Fault simulation never reaches this package: RunEngine rejects
-// Config.FaultSim for any engine not named "vector".
+// more. Config.Lanes > 1 forces jit, the one lane engine ("vector" is a
+// second name of it), and a forced winner keeps batched selection
+// deterministic. Fault simulation never reaches this package: RunEngine
+// rejects Config.FaultSim for any engine that is not a lane engine.
 package auto
 
 import (
@@ -85,12 +83,12 @@ func Choose(c *circuit.Circuit, cfg engine.Config) (*engine.Selection, engine.Co
 		sel.Ranking = append(sel.Ranking, ch)
 	}
 	if cfg.Lanes > 1 {
-		// Batched job: only the vector engine carries lanes.
+		// Batched job: only the lane engine carries lanes.
 		for i := range sel.Ranking {
-			if sel.Ranking[i].Engine == "vector" {
+			if sel.Ranking[i].Engine == "jit" {
 				win = &sel.Ranking[i]
 				win.Eligible = true
-				win.Reason = "forced: Lanes > 1 requires the batched vector engine"
+				win.Reason = "forced: Lanes > 1 requires the lane engine"
 				break
 			}
 		}
@@ -131,11 +129,6 @@ func Choose(c *circuit.Circuit, cfg engine.Config) (*engine.Selection, engine.Co
 		if s, err := partition.ParseStrategy(win.Strategy); err == nil {
 			icfg.Strategy = s
 		}
-	}
-	if win.Engine == "vector" && icfg.Lanes == 0 {
-		// A scalar job on the vector engine: one lane, probe lane 0, same
-		// histories as any scalar engine.
-		icfg.Lanes = 1
 	}
 	sel.Workers = icfg.Workers
 	return sel, icfg

@@ -16,7 +16,6 @@ import (
 	_ "parsim/internal/dist"
 	_ "parsim/internal/parevent"
 	_ "parsim/internal/timewarp"
-	_ "parsim/internal/vector"
 )
 
 // TestRegistry: the engine registers under its canonical name and the
@@ -35,7 +34,8 @@ func TestRegistry(t *testing.T) {
 
 // TestChooseInverterArray pins the selection on the paper's flagship
 // circuit: the asynchronous engine at the full budget, with the complete
-// nine-engine ranking recorded on the selection.
+// eight-engine ranking ("vector" is a name of jit, not a ninth engine)
+// recorded on the selection.
 func TestChooseInverterArray(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	sel, icfg := Choose(c, engine.Config{Workers: 4, Horizon: 96, CostSpin: 300})
@@ -45,8 +45,8 @@ func TestChooseInverterArray(t *testing.T) {
 	if icfg.Workers < 1 || icfg.Workers > 4 {
 		t.Errorf("inner config workers %d outside budget", icfg.Workers)
 	}
-	if len(sel.Ranking) != 9 {
-		t.Errorf("ranking has %d entries, want 9", len(sel.Ranking))
+	if len(sel.Ranking) != 8 {
+		t.Errorf("ranking has %d entries, want 8", len(sel.Ranking))
 	}
 	if sel.Profile == nil || sel.Profile.Elements == 0 {
 		t.Error("selection carries no profile")
@@ -56,13 +56,13 @@ func TestChooseInverterArray(t *testing.T) {
 	}
 }
 
-// TestChooseLanesForceVector: a batched job has no choice — only the
-// vector engine produces LaneFinal.
+// TestChooseLanesForceVector: a batched ("vector") job has no choice —
+// only the lane engine, jit, produces LaneFinal.
 func TestChooseLanesForceVector(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	sel, icfg := Choose(c, engine.Config{Workers: 2, Horizon: 96, Lanes: 16})
-	if sel.Engine != "vector" {
-		t.Fatalf("lanes=16 selected %q, want vector", sel.Engine)
+	if sel.Engine != "jit" {
+		t.Fatalf("lanes=16 selected %q, want jit", sel.Engine)
 	}
 	if sel.Confidence != 1 {
 		t.Errorf("forced selection confidence %v, want 1", sel.Confidence)
@@ -116,8 +116,8 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunScalarJobOnVector: if the cost model hands a scalar job to the
-// vector engine it must run with one lane; forced batched jobs keep theirs.
+// TestRunScalarJobOnVector: a forced batched ("vector") job runs on the
+// lane engine and keeps its lane count end to end.
 func TestRunScalarJobOnVector(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	rep, err := engine.Run(context.Background(), "auto", c, engine.Config{
@@ -126,7 +126,7 @@ func TestRunScalarJobOnVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Selected.Engine != "vector" {
+	if rep.Selected.Engine != "jit" {
 		t.Fatalf("batched job selected %q", rep.Selected.Engine)
 	}
 	if len(rep.LaneFinal) != 16 {

@@ -26,9 +26,14 @@ import (
 	"parsim/internal/stats"
 )
 
-// Version is the snapshot format version. Bump on any wire change; Load
-// rejects other versions.
-const Version = 1
+// Version is the snapshot format version. Bump on any wire change, and on
+// any change to what an engine's planes and kernel states mean under an
+// unchanged engine name and digest; Load rejects other versions. Version 2:
+// the "vector" engine name became the jit step loop, whose plane numbering
+// (by schedule level) and kernel order (by worker stripe and level) differ
+// from the former vector engine's. The wire format did not change, so a
+// version-1 snapshot still loads unless a vector run wrote it.
+const Version = 2
 
 // magic identifies a parsim checkpoint file.
 var magic = [4]byte{'P', 'S', 'C', 'K'}
@@ -235,7 +240,8 @@ func decode(path string, data []byte) (*Snapshot, error) {
 	if !bytes.Equal(data[0:4], magic[:]) {
 		return nil, &CorruptError{Path: path, Reason: "bad magic (not a parsim checkpoint)"}
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != Version {
+	v := binary.LittleEndian.Uint32(data[4:8])
+	if v != Version && v != 1 {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("unsupported format version %d (have %d)", v, Version)}
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
@@ -250,6 +256,10 @@ func decode(path string, data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("undecodable payload: %v", err)}
+	}
+	if v == 1 && s.Engine == "vector" {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf(
+			"format version 1 vector snapshot: its plane numbering predates version %d", Version)}
 	}
 	return &s, nil
 }

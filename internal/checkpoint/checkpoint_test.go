@@ -1,10 +1,15 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parsim/internal/logic"
@@ -171,6 +176,55 @@ func TestLoadWrongMagicAndVersion(t *testing.T) {
 	bad[4] = 99
 	_, derr = decode(path, bad)
 	corruptErr(t, derr, "future version")
+}
+
+// writeVersion1 frames snap as a well-formed version-1 file — right magic,
+// length and CRC — and returns its path.
+func writeVersion1(t *testing.T, snap *Snapshot) string {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, headerSize+payload.Len())
+	copy(data[0:4], "PSCK")
+	binary.LittleEndian.PutUint32(data[4:8], 1)
+	binary.LittleEndian.PutUint64(data[8:16], uint64(payload.Len()))
+	binary.LittleEndian.PutUint32(data[16:20], crc32.ChecksumIEEE(payload.Bytes()))
+	copy(data[headerSize:], payload.Bytes())
+	path := filepath.Join(t.TempDir(), snap.Engine+"-v1.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadRefusesVersion1 checks Load refuses a hand-built version-1
+// snapshot of a vector run. Version 1 files from the former vector engine
+// carry the same engine name and digest as today's, but a different plane
+// numbering and kernel order; only the version field keeps them from
+// resuming into the wrong planes. The other engines' version-1 snapshots
+// mean what they meant and still load.
+func TestLoadRefusesVersion1(t *testing.T) {
+	snap := sampleSnapshot()
+	snap.Engine = "vector"
+	_, err := Load(writeVersion1(t, snap))
+	corruptErr(t, err, "version-1 vector snapshot")
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("error %q does not name the refused version", err)
+	}
+
+	for _, name := range []string{"jit", "compiled", "sequential"} {
+		snap := sampleSnapshot()
+		snap.Engine = name
+		got, err := Load(writeVersion1(t, snap))
+		if err != nil {
+			t.Fatalf("version-1 %s snapshot refused: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, snap) {
+			t.Errorf("version-1 %s snapshot round trip differs", name)
+		}
+	}
 }
 
 func TestLoadMissingFile(t *testing.T) {

@@ -10,12 +10,13 @@ import (
 	"parsim/internal/trace"
 )
 
-// Checkpoint/resume for the compiled engine: the same quiescent-barrier
-// protocol as the vector engine. A snapshot captures one buffer side's
-// node planes (all lanes), every stateful kernel's private planes and
-// per-lane scalar state (the fused gate batches are stateless by
-// construction), the per-worker counters and the recorded probe history.
-// Kernel states walk in (worker, level slot, position) order — the
+// Checkpoint/resume for the compiled engine, taken at the per-step barrier
+// where the gang is quiescent. A snapshot captures one buffer side's node
+// planes (all lanes), every stateful kernel's private planes and per-lane
+// scalar state (the fused gate batches are stateless by construction), the
+// per-worker counters, the recorded probe history and — in
+// fault-simulation mode — the cross-pass detection state. Kernel states
+// walk in (worker, level slot, position) order — the
 // compiled program is deterministic, so the restore side walks the same
 // sequence.
 
@@ -72,6 +73,23 @@ func (s *sim) saveCheckpoint(step circuit.Time) error {
 			})
 		}
 	}
+	if fp := s.fault; fp != nil {
+		fs := &checkpoint.FaultState{
+			Pass:     fp.pass,
+			Ran:      fp.ran,
+			Statuses: append([]stats.FaultStatus(nil), fp.statuses...),
+			Acc:      fp.acc,
+		}
+		for _, d := range fp.det {
+			fs.Det = append(fs.Det, append([]uint64(nil), d...))
+		}
+		for _, f := range fp.first {
+			fs.First = append(fs.First, append([]int64(nil), f...))
+		}
+		snap.Fault = fs
+	}
+	// The snapshot is a deep copy; the background writer makes it durable
+	// (and fires the plan's OnSave) off the gang's critical path.
 	return s.ckptW.Save(snap)
 }
 
@@ -143,8 +161,22 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 	if len(snap.Workers) != s.p {
 		return bad("snapshot has %d worker counter rows, want %d", len(snap.Workers), s.p)
 	}
-	if snap.Fault != nil {
-		return bad("snapshot carries fault-simulation state the jit engine cannot resume")
+	if (snap.Fault != nil) != (s.fault != nil) {
+		return bad("fault-simulation state presence mismatch")
+	}
+	if fp := s.fault; fp != nil {
+		fs := snap.Fault
+		if len(fs.Det) != s.p || len(fs.First) != s.p {
+			return bad("fault state has %d/%d worker rows, want %d", len(fs.Det), len(fs.First), s.p)
+		}
+		for w := 0; w < s.p; w++ {
+			if len(fs.Det[w]) != s.words {
+				return bad("fault detection mask %d has %d words, want %d", w, len(fs.Det[w]), s.words)
+			}
+			if len(fs.First[w]) != len(fp.faults) {
+				return bad("fault first-step row %d has %d entries, want %d", w, len(fs.First[w]), len(fp.faults))
+			}
+		}
 	}
 	// All validated; commit. Both buffer sides take the snapshot planes:
 	// every driven node is fully rewritten each step and every undriven
@@ -174,6 +206,12 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 	}
 	copy(s.wc, snap.Workers)
 	s.startT = circuit.Time(snap.Step)
+	if fp := s.fault; fp != nil {
+		for w := 0; w < s.p; w++ {
+			copy(fp.det[w], snap.Fault.Det[w])
+			copy(fp.first[w], snap.Fault.First[w])
+		}
+	}
 	if rec, ok := s.opts.Probe.(*trace.Recorder); ok && snap.HasTrace {
 		chs := make([]trace.ChangeRecord, len(snap.Trace))
 		for i, tc := range snap.Trace {

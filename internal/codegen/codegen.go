@@ -12,14 +12,19 @@
 // owns one contiguous, cost-balanced stripe of those slabs, so the gang
 // shares cache lines only at the cuts. The 1- and 2-input gates — the bulk
 // of every gate-level netlist — run as fused batch loops with no
-// per-element dispatch at all; every other kind runs through the batched
-// engine's proven plane-op kernels (bit-sliced mul/alu/rom/ram included)
-// devirtualized into the level sequence. Like the vector engine, N stimulus
-// lanes advance together (default 1, the scalar-identical lane), and the
-// unit-delay double buffer makes levels a pure batching device: a level
-// reads only the previous step's side, so the step boundary is the only
-// dependence and its barrier the only one the gang takes. That barrier
-// (with its two clock reads for idle time) runs at one worker too.
+// per-element dispatch at all; every other kind runs through
+// internal/vector's proven plane-op kernels (bit-sliced mul/alu/rom/ram
+// included) devirtualized into the level sequence. N stimulus lanes
+// advance together, and the unit-delay double buffer makes levels a pure
+// batching device: a level reads only the previous step's side, so the
+// step boundary is the only dependence and its barrier the only one the
+// gang takes. That barrier (with its two clock reads for idle time) runs
+// at one worker too.
+//
+// This one step loop serves two registry names (engine.go): "jit", whose
+// runs default to one lane, and "vector", the batched form, whose runs
+// default to one full 64-lane plane word. With Options.FaultSim the same
+// loop runs concurrent stuck-at fault simulation (fault.go).
 package codegen
 
 import (
@@ -49,17 +54,25 @@ type Options struct {
 	Guard    *guard.Supervisor
 
 	// Lanes is the number of live stimulus lanes (1..logic.MaxWideLanes;
-	// 0 defaults to 1 — unlike the vector engine, jit is first a scalar
-	// replacement for the compiled engine, and widens on request).
+	// 0 defaults to 1, the scalar replacement for the compiled engine).
+	// Lane counts beyond 64 widen every plane to ceil(Lanes/64) words.
 	Lanes int
-	// LaneStride offsets rand/gray generator seeds per lane, exactly as
-	// the vector engine does. 0 defaults to 1; lane 0 keeps the original
+	// LaneStride offsets rand/gray generator seeds per lane: lane k runs
+	// with Seed + k*LaneStride. 0 defaults to 1; lane 0 keeps the original
 	// seed and is bit-identical to a scalar run.
 	LaneStride int64
 	// ProbeLane selects the lane Probe observes and Final reports.
 	ProbeLane int
 
+	// FaultSim, when non-nil, switches the run to concurrent stuck-at
+	// fault simulation: every lane carries the same stimulus (LaneStride
+	// is forced to 0), lane 0 simulates the good machine and lanes 1..N
+	// carry one injected fault each from the list. See fault.go.
+	FaultSim *FaultOptions
+
 	// Checkpoint asks for periodic snapshots at the per-step barrier.
+	// Fault-simulation runs snapshot mid-pass, carrying the cross-pass
+	// detection state along.
 	Checkpoint checkpoint.Plan
 	// Resume continues from a verified snapshot, bit-identically.
 	Resume *checkpoint.Snapshot
@@ -70,8 +83,11 @@ type Result struct {
 	Run stats.Run
 	// Final holds lane ProbeLane's node values after the last step.
 	Final []logic.Value
-	// LaneFinal holds every lane's final node values.
+	// LaneFinal holds every lane's final node values; nil in fault mode.
 	LaneFinal [][]logic.Value
+	// FaultCoverage reports fault-simulation results when Options.FaultSim
+	// was set, nil otherwise.
+	FaultCoverage *stats.FaultCoverage
 }
 
 // planeBuf is one buffer side: the flat struct-of-arrays slabs plus the
@@ -116,6 +132,9 @@ type sim struct {
 	startT  circuit.Time
 	ckptW   *checkpoint.Writer
 	ckptErr error
+
+	// fault is the per-pass fault-simulation state, nil outside fault mode.
+	fault *faultPass
 }
 
 // Run simulates the circuit with the statically compiled engine.
@@ -142,6 +161,15 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	if opts.ProbeLane < 0 || opts.ProbeLane >= opts.Lanes {
 		return nil, fmt.Errorf("codegen: probe lane %d outside [0,%d)", opts.ProbeLane, opts.Lanes)
 	}
+	if opts.FaultSim != nil {
+		return runFaultSim(ctx, c, opts)
+	}
+	return runPass(ctx, c, opts, nil)
+}
+
+// runPass runs one compiled simulation pass. fp, when non-nil, carries the
+// fault-injection state of one fault-simulation pass.
+func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPass) (*Result, error) {
 	p := opts.Workers
 	s := &sim{
 		c:        c,
@@ -154,6 +182,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		wc:       make([]stats.WorkerCounters, p),
 		cancel:   engine.WatchCancel(ctx),
 		chaos:    opts.Guard.Chaos(),
+		fault:    fp,
 	}
 	defer s.cancel.Release()
 	opts.Guard.OnTrip(s.bar.Abort)
@@ -164,13 +193,22 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 			s.buf[side].planes[i].Fill(logic.X)
 		}
 	}
+	if fp != nil {
+		fp.bind(s)
+	}
 	if opts.Resume != nil {
-		// The snapshot replaces the t=0 initialisation wholesale, exactly
-		// as in the vector engine: both buffer sides take the checkpointed
-		// planes, kernel state and counters resume, and the generator init
-		// below is skipped (already counted in the restored counters).
+		// The snapshot replaces the t=0 initialisation wholesale: both
+		// buffer sides take the checkpointed planes, kernel state and
+		// counters resume, and the generator init below is skipped
+		// (already counted in the restored counters).
 		if err := s.restore(opts.Resume); err != nil {
 			return nil, err
+		}
+		if fp != nil {
+			// The restored planes already carry the injected faults;
+			// re-asserting them is idempotent and guards the undriven sites.
+			fp.inject(s.buf[0].planes)
+			fp.inject(s.buf[1].planes)
 		}
 		return s.finish(ctx, c, opts)
 	}
@@ -202,6 +240,12 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 					logic.ExtractLaneWide(s.buf[0].planes[o:o+wd], opts.ProbeLane, wd))
 			}
 		}
+	}
+	// Faults present from t=0 must be injected into both buffer sides so
+	// the first step already reads the faulty machine state.
+	if fp != nil {
+		fp.inject(s.buf[0].planes)
+		fp.inject(s.buf[1].planes)
 	}
 	return s.finish(ctx, c, opts)
 }
@@ -307,6 +351,7 @@ func (s *sim) worker(id int) {
 
 	gens := s.prog.gens[id]
 	work := s.prog.work[id]
+	fault := s.fault
 	// With one plane word and no probe the per-span scan collapses to
 	// noteLevel's single flat loop over the level's (offset, width) pairs.
 	fastNote := s.opts.Probe == nil && s.words == 1
@@ -317,10 +362,14 @@ func (s *sim) worker(id int) {
 		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
 			return
 		}
-		// Periodic checkpoint at the step boundary: one extra uncounted
-		// barrier while worker 0 captures the quiesced state, exactly the
-		// vector engine's protocol.
+		// Periodic checkpoint at the step boundary: every worker computes
+		// the same due(t), so the gang meets at one extra (uncounted)
+		// barrier while worker 0 captures the quiesced state, and the
+		// counted BarrierWaits total matches an uninterrupted run's.
 		if s.checkpointDue(t) {
+			// Ready gates the capture, not the barrier: every worker still
+			// meets here, and worker 0 skips packing a snapshot the
+			// throttled writer would only coalesce away.
 			if id == 0 && s.ckptW.Ready() {
 				if err := s.saveCheckpoint(t); err != nil {
 					s.ckptErr = err // published by the barrier release below
@@ -341,6 +390,11 @@ func (s *sim) worker(id int) {
 		}
 		cur, next := &s.buf[t&1], &s.buf[(t+1)&1]
 
+		// Fault detection observes the settled values of step t before
+		// this step's levels overwrite the other buffer side.
+		if fault != nil {
+			fault.observe(id, t, cur.planes)
+		}
 		for i := range gens {
 			g := &gens[i]
 			g.Write(t+1, next.planes)
@@ -376,6 +430,9 @@ func (s *sim) worker(id int) {
 					}
 				}
 			}
+		}
+		if fault != nil {
+			fault.injectWorker(id, next.planes)
 		}
 
 		t0 := time.Now()

@@ -28,6 +28,8 @@ type program struct {
 	work [][]levelWork
 	// gens[w] are the stimulus generators in worker w's stripe.
 	gens [][]vector.GenExec
+	// owner[e] is the worker whose stripe holds element e.
+	owner []int
 }
 
 // levelWork is one worker's compiled slice of one level: the fused gate
@@ -59,8 +61,8 @@ func tableKind(k circuit.Kind) bool {
 	return false
 }
 
-// compileProgram lowers c for p workers. lanes and stride follow the
-// batched engine's lane semantics (lane 0 replays the scalar stimulus).
+// compileProgram lowers c for p workers at a lane width; lane k's rand/gray
+// generators run with Seed + k*stride (lane 0 replays the scalar stimulus).
 func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program {
 	words := logic.PlaneWords(lanes)
 	levels := analyze.LevelSchedule(c)
@@ -109,6 +111,7 @@ func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program
 	// worker, elements group by level and, inside a level, fused gates
 	// batch by shape in element order.
 	owner := stripes(c, p, levels, off)
+	prog.owner = owner
 	parts := make([][]circuit.ElemID, p)
 	for i := range c.Elems {
 		if !c.Elems[i].IsGenerator() {

@@ -5,13 +5,25 @@ import (
 
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
+	"parsim/internal/logic"
 )
 
-type eng struct{}
+// eng is the one lane engine, registered under two names: "jit", whose
+// runs default to one lane (a drop-in for the scalar compiled engine), and
+// "vector", the batched form, whose runs default to one full 64-lane plane
+// word. Both run the same step loop; only the default lane count and the
+// name (which keys checkpoints and reports) differ.
+type eng struct {
+	name  string
+	lanes int
+}
 
-func (eng) Name() string { return "jit" }
+func (e eng) Name() string { return e.name }
 
-func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+// DefaultLanes implements engine.LaneEngine.
+func (e eng) DefaultLanes() int { return e.lanes }
+
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	opts := Options{
 		Workers:    cfg.Workers,
 		Horizon:    cfg.Horizon,
@@ -24,15 +36,26 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		Checkpoint: cfg.CkptPlan,
 		Resume:     cfg.CkptSnap,
 	}
+	if opts.Lanes == 0 {
+		opts.Lanes = e.lanes
+	}
+	if cfg.FaultSim {
+		opts.FaultSim = &FaultOptions{
+			MaxPasses:    cfg.FaultMaxPasses,
+			KeepStatuses: cfg.FaultStatuses,
+		}
+	}
 	res, err := RunContext(ctx, c, opts)
 	if res == nil {
 		return nil, err
 	}
 	return &engine.Report{
 		Run: res.Run, Final: res.Final, LaneFinal: res.LaneFinal,
+		FaultCoverage: res.FaultCoverage,
 	}, err
 }
 
 func init() {
-	engine.Register(eng{}, "codegen")
+	engine.Register(eng{name: "jit", lanes: 1}, "codegen")
+	engine.Register(eng{name: "vector", lanes: logic.MaxLanes}, "batched", "bit-parallel")
 }

@@ -1,4 +1,4 @@
-package vector
+package codegen
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"parsim/internal/circuit"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
+	"parsim/internal/vector"
 )
 
 // Concurrent stuck-at fault simulation, the classic concurrent/parallel
@@ -18,17 +19,15 @@ import (
 // injected stuck-at fault. A fault is detected when its lane's value at an
 // observation node differs from lane 0 with both lanes known — one plane
 // XOR compares 64 fault machines against the reference at once. Fault
-// lists larger than Lanes-1 chunk into multiple passes.
+// lists larger than Lanes-1 chunk into multiple passes, each one run of
+// the ordinary step loop with two hooks: observe at the top of every step
+// and injectWorker after the worker's levels.
 
 // FaultOptions configures fault simulation (Options.FaultSim).
 type FaultOptions struct {
 	// Faults is the stuck-at list to inject. Nil generates the collapsed
 	// single stuck-at list for the whole circuit (analyze.FaultList).
 	Faults []analyze.Fault
-	// Observe lists the observation nodes detection compares against the
-	// good machine. Nil defaults to the circuit's sink nodes (no fanout);
-	// a circuit with no sinks observes every node.
-	Observe []circuit.NodeID
 	// MaxPasses caps the number of chunked passes (each pass simulates
 	// Lanes-1 faults). 0 runs as many passes as the list needs; faults
 	// beyond the cap are reported undetected.
@@ -38,10 +37,10 @@ type FaultOptions struct {
 	KeepStatuses bool
 }
 
-// ObservationNodes returns the default fault observation points: the
-// circuit's sink nodes (driven or undriven nodes nothing reads — the
-// "primary outputs"), or every node when the circuit has none.
-func ObservationNodes(c *circuit.Circuit) []circuit.NodeID {
+// observationNodes returns the fault observation points: the circuit's
+// sink nodes (driven or undriven nodes nothing reads — the "primary
+// outputs"), or every node when the circuit has none.
+func observationNodes(c *circuit.Circuit) []circuit.NodeID {
 	var sinks []circuit.NodeID
 	for n := range c.Nodes {
 		if len(c.Nodes[n].Fanout) == 0 {
@@ -63,7 +62,7 @@ func ObservationNodes(c *circuit.Circuit) []circuit.NodeID {
 func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
 	fo := *opts.FaultSim
 	if opts.Lanes < 2 {
-		return nil, fmt.Errorf("vector: fault simulation needs >= 2 lanes, have %d", opts.Lanes)
+		return nil, fmt.Errorf("codegen: fault simulation needs >= 2 lanes, have %d", opts.Lanes)
 	}
 	// Every lane carries the same stimulus, so divergence from lane 0 is a
 	// fault effect and nothing else; the probe observes the good machine.
@@ -74,10 +73,7 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	if faults == nil {
 		faults = analyze.FaultList(c, true)
 	}
-	observe := fo.Observe
-	if len(observe) == 0 {
-		observe = ObservationNodes(c)
-	}
+	observe := observationNodes(c)
 
 	perPass := opts.Lanes - 1
 	passes := (len(faults) + perPass - 1) / perPass
@@ -98,14 +94,14 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	if snap := opts.Resume; snap != nil {
 		fs := snap.Fault
 		if fs == nil {
-			return nil, fmt.Errorf("parsim: resume (vector): snapshot carries no fault-simulation state")
+			return nil, fmt.Errorf("parsim: resume (jit): snapshot carries no fault-simulation state")
 		}
 		if len(fs.Statuses) != len(statuses) {
-			return nil, fmt.Errorf("parsim: resume (vector): snapshot has %d fault statuses, want %d",
+			return nil, fmt.Errorf("parsim: resume (jit): snapshot has %d fault statuses, want %d",
 				len(fs.Statuses), len(statuses))
 		}
 		if fs.Pass < 0 || fs.Pass >= passes {
-			return nil, fmt.Errorf("parsim: resume (vector): snapshot pass %d outside [0,%d)", fs.Pass, passes)
+			return nil, fmt.Errorf("parsim: resume (jit): snapshot pass %d outside [0,%d)", fs.Pass, passes)
 		}
 		copy(statuses, fs.Statuses)
 		startPass, ran = fs.Pass, fs.Ran
@@ -117,12 +113,9 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	var runErr error
 	for p := startPass; p < passes; p++ {
 		lo := p * perPass
-		hi := lo + perPass
-		if hi > len(faults) {
-			hi = len(faults)
-		}
-		fp := newFaultPass(c, faults[lo:hi], observe)
-		fp.pass, fp.ran, fp.statuses = p, ran, statuses
+		hi := min(lo+perPass, len(faults))
+		fp := &faultPass{c: c, faults: faults[lo:hi], obsNodes: observe,
+			pass: p, ran: ran, statuses: statuses}
 		if total != nil {
 			fp.acc = packRun(&total.Run)
 		} else if resumeAcc != nil {
@@ -146,7 +139,7 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 				}
 			} else {
 				total.Final = res.Final
-				mergeRun(&total.Run, &res.Run)
+				addRunCounters(&total.Run, packRun(&res.Run))
 			}
 		}
 		if err != nil {
@@ -182,9 +175,9 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	return total, runErr
 }
 
-// packRun extracts the accumulating counters of a running total into the
-// snapshot wire form; addRunCounters folds them back in on resume. The two
-// cover exactly the fields mergeRun sums across passes.
+// packRun extracts the counters that accumulate across passes into the
+// snapshot wire form; addRunCounters folds them into a running total, both
+// between passes and on resume.
 func packRun(r *stats.Run) checkpoint.RunCounters {
 	return checkpoint.RunCounters{
 		TimeSteps:   r.TimeSteps,
@@ -211,21 +204,6 @@ func addRunCounters(dst *stats.Run, acc checkpoint.RunCounters) {
 	}
 }
 
-// mergeRun accumulates one pass's run stats into the running total.
-func mergeRun(dst, src *stats.Run) {
-	dst.TimeSteps += src.TimeSteps
-	dst.NodeUpdates += src.NodeUpdates
-	dst.Evals += src.Evals
-	dst.ModelCalls += src.ModelCalls
-	dst.EventsUsed += src.EventsUsed
-	dst.Wall += src.Wall
-	for i := range dst.PerWorker {
-		if i < len(src.PerWorker) {
-			dst.PerWorker[i].Accumulate(src.PerWorker[i])
-		}
-	}
-}
-
 // faultInj is one fault's injection site in plane coordinates: set or
 // clear one lane bit of one plane word, forcing the lane known.
 type faultInj struct {
@@ -246,22 +224,22 @@ func (in faultInj) apply(dst []logic.WidePlane) {
 }
 
 // faultPass carries one pass's injection and detection state. Injection
-// ownership follows element ownership — the worker whose kernel drives the
-// faulted node re-asserts the fault after writing it, so no two workers
-// touch the same plane word; undriven nodes belong to worker 0.
-// Observation nodes are split round-robin; each worker records detections
-// in its own masks, merged when the pass finishes.
+// ownership follows element ownership as the stripe cut assigns it — the
+// worker whose stripe drives the faulted node re-asserts the fault after
+// its levels, so no two workers touch the same plane word; undriven nodes
+// belong to worker 0. Observation nodes are split round-robin; each worker
+// records detections in its own masks, merged when the pass finishes.
 type faultPass struct {
 	c        *circuit.Circuit
 	faults   []analyze.Fault
 	obsNodes []circuit.NodeID
 
 	words    int
-	all      []faultInj   // every injection, for init-time application
-	byWorker [][]faultInj // injections owned per worker
-	obs      [][]span     // observation spans per worker
-	det      [][]uint64   // per-worker detected lane masks [worker][word]
-	first    [][]int64    // per-worker first-detection step per fault, -1 = none
+	all      []faultInj         // every injection, for init-time application
+	byWorker [][]faultInj       // injections owned per worker
+	obs      [][]vector.OutSpan // observation spans per worker
+	det      [][]uint64         // per-worker detected lane masks [worker][word]
+	first    [][]int64          // per-worker first-detection step per fault, -1 = none
 
 	// Snapshot context, set by runFaultSim before the pass starts: the
 	// pass index, how many passes completed before it, the full status
@@ -274,32 +252,17 @@ type faultPass struct {
 	acc      checkpoint.RunCounters
 }
 
-func newFaultPass(c *circuit.Circuit, faults []analyze.Fault, observe []circuit.NodeID) *faultPass {
-	return &faultPass{c: c, faults: faults, obsNodes: observe}
-}
-
 // bind resolves the pass state against a compiled sim: plane offsets,
 // element ownership and per-worker detection buffers.
 func (fp *faultPass) bind(s *sim) {
 	fp.words = s.words
 	p := s.p
-	own := make([]int, len(fp.c.Elems))
-	for w, ks := range s.parts {
-		for _, k := range ks {
-			own[k.eid] = w
-		}
-	}
-	for w, gs := range s.gens {
-		for _, g := range gs {
-			own[g.el.ID] = w
-		}
-	}
-	fp.all = fp.all[:0]
+	off := s.prog.off
 	fp.byWorker = make([][]faultInj, p)
 	for i, f := range fp.faults {
 		lane := i + 1
 		inj := faultInj{
-			plane:     int(s.lay.off[f.Node]) + f.Bit,
+			plane:     int(off[f.Node]) + f.Bit,
 			wd:        lane >> 6,
 			mask:      1 << uint(lane&63),
 			stuckHigh: f.StuckHigh,
@@ -307,13 +270,13 @@ func (fp *faultPass) bind(s *sim) {
 		fp.all = append(fp.all, inj)
 		w := 0
 		if d := fp.c.Nodes[f.Node].Driver; d != circuit.NoElem {
-			w = own[d]
+			w = s.prog.owner[d]
 		}
 		fp.byWorker[w] = append(fp.byWorker[w], inj)
 	}
-	fp.obs = make([][]span, p)
+	fp.obs = make([][]vector.OutSpan, p)
 	for i, n := range fp.obsNodes {
-		fp.obs[i%p] = append(fp.obs[i%p], s.lay.span(fp.c, n))
+		fp.obs[i%p] = append(fp.obs[i%p], vector.OutSpan{Node: n, Off: off[n], W: int32(fp.c.Nodes[n].Width)})
 	}
 	fp.det = make([][]uint64, p)
 	fp.first = make([][]int64, p)
@@ -334,7 +297,8 @@ func (fp *faultPass) inject(dst []logic.WidePlane) {
 	}
 }
 
-// injectWorker re-asserts worker id's faults on the freshly written side.
+// injectWorker re-asserts worker id's faults on the freshly written side:
+// a stuck node stays stuck no matter what its driver computed.
 func (fp *faultPass) injectWorker(id int, dst []logic.WidePlane) {
 	for _, in := range fp.byWorker[id] {
 		in.apply(dst)
@@ -350,7 +314,7 @@ func (fp *faultPass) observe(id int, t circuit.Time, cur []logic.WidePlane) {
 	first := fp.first[id]
 	nf := len(fp.faults)
 	for _, sp := range fp.obs[id] {
-		o, w := int(sp.off), int(sp.w)
+		o, w := int(sp.Off), int(sp.W)
 		for b := 0; b < w; b++ {
 			wp := cur[o+b]
 			if wp.U[0]&1 != 0 {

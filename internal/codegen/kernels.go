@@ -1,13 +1,13 @@
 package codegen
 
 // The fused gate shapes: the 1- and 2-input gates that dominate every
-// gate-level netlist are not compiled one closure per element the way the
-// batched engine does it. Instead the compiler collects all same-shaped
+// gate-level netlist are not compiled one closure per element the way
+// internal/vector's kernels are. Instead the compiler collects all same-shaped
 // gates of one (worker, level) slice into a single batch — a flat offset
 // table over the struct-of-arrays value/unknown slabs — and the whole
 // batch runs as one branch-free loop of word ops: no per-element call, no
 // kind dispatch, no bounds-check chains through plane structs. The algebra
-// is exactly the batched engine's fused compileGate/compileGate2 forms
+// is exactly internal/vector's fused compileGate/compileGate2 forms
 // (PlaneAnd/PlaneOr/PlaneXor with the Readable() normalisation folded in),
 // which the truth-table suite proves against the scalar registry.
 
@@ -140,20 +140,30 @@ func runCopy1(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64
 			}
 		}
 	}
+	m := invertMask(invert)
 	return func(cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 2 {
 			a, o := int(offs[i]), int(offs[i+1])
-			for wd := 0; wd < words; wd++ {
-				av, au := cv[a+wd], cu[a+wd]
-				if invert {
-					nv[o+wd] = ^(av | au)
-				} else {
-					nv[o+wd] = av &^ au
-				}
-				nu[o+wd] = au
+			ov, ou := nv[o:o+words], nu[o:o+words]
+			av, au := cv[a:a+words], cu[a:a+words]
+			_, _, _ = ou[len(ov)-1], av[len(ov)-1], au[len(ov)-1]
+			for wd := range ov {
+				ov[wd] = (av[wd] ^ m) &^ au[wd]
+				ou[wd] = au[wd]
 			}
 		}
 	}
+}
+
+// invertMask turns a gate's output inversion into a word mask, so the
+// multi-word loops carry no branch. one, zero and the unknown lanes u
+// partition every word, so (one^m)&^u is one when m is 0 and zero when m
+// is all ones — the inverted gate's known-H lanes.
+func invertMask(invert bool) uint64 {
+	if invert {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // runAnd2: one = known-H lanes of both inputs, zero = known-L lanes of
@@ -175,19 +185,21 @@ func runAnd2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64)
 			}
 		}
 	}
+	m := invertMask(invert)
 	return func(cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 3 {
 			a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2])
-			for wd := 0; wd < words; wd++ {
-				av, au := cv[a+wd], cu[a+wd]
-				bv, bu := cv[b+wd], cu[b+wd]
+			ov, ou := nv[o:o+words], nu[o:o+words]
+			as, aus := cv[a:a+words], cu[a:a+words]
+			bs, bus := cv[b:b+words], cu[b:b+words]
+			_, _, _, _, _ = ou[len(ov)-1], as[len(ov)-1], aus[len(ov)-1], bs[len(ov)-1], bus[len(ov)-1]
+			for wd := range ov {
+				av, au, bv, bu := as[wd], aus[wd], bs[wd], bus[wd]
 				one := (av &^ au) & (bv &^ bu)
 				zero := ^(av | au) | ^(bv | bu)
-				if invert {
-					one, zero = zero, one
-				}
-				nv[o+wd] = one
-				nu[o+wd] = ^(one | zero)
+				u := ^(one | zero)
+				ov[wd] = (one ^ m) &^ u
+				ou[wd] = u
 			}
 		}
 	}
@@ -212,19 +224,21 @@ func runOr2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64) 
 			}
 		}
 	}
+	m := invertMask(invert)
 	return func(cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 3 {
 			a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2])
-			for wd := 0; wd < words; wd++ {
-				av, au := cv[a+wd], cu[a+wd]
-				bv, bu := cv[b+wd], cu[b+wd]
+			ov, ou := nv[o:o+words], nu[o:o+words]
+			as, aus := cv[a:a+words], cu[a:a+words]
+			bs, bus := cv[b:b+words], cu[b:b+words]
+			_, _, _, _, _ = ou[len(ov)-1], as[len(ov)-1], aus[len(ov)-1], bs[len(ov)-1], bus[len(ov)-1]
+			for wd := range ov {
+				av, au, bv, bu := as[wd], aus[wd], bs[wd], bus[wd]
 				one := (av &^ au) | (bv &^ bu)
 				zero := ^(av | au) & ^(bv | bu)
-				if invert {
-					one, zero = zero, one
-				}
-				nv[o+wd] = one
-				nu[o+wd] = ^(one | zero)
+				u := ^(one | zero)
+				ov[wd] = (one ^ m) &^ u
+				ou[wd] = u
 			}
 		}
 	}
@@ -252,15 +266,21 @@ func runMux2(offs []int32, words int) func(cv, cu, nv, nu []uint64) {
 	return func(cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 4 {
 			s, a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2]), int(offs[i+3])
-			for wd := 0; wd < words; wd++ {
-				sv, su := cv[s+wd], cu[s+wd]
+			ov, ou := nv[o:o+words], nu[o:o+words]
+			ss, sus := cv[s:s+words], cu[s:s+words]
+			as, aus := cv[a:a+words], cu[a:a+words]
+			bs, bus := cv[b:b+words], cu[b:b+words]
+			_, _, _ = ou[len(ov)-1], ss[len(ov)-1], sus[len(ov)-1]
+			_, _, _, _ = as[len(ov)-1], aus[len(ov)-1], bs[len(ov)-1], bus[len(ov)-1]
+			for wd := range ov {
+				sv, su := ss[wd], sus[wd]
 				selH := sv &^ su
 				selL := ^(sv | su)
-				av, au := cv[a+wd]&^cu[a+wd], cu[a+wd]
-				bv, bu := cv[b+wd]&^cu[b+wd], cu[b+wd]
+				av, au := as[wd]&^aus[wd], aus[wd]
+				bv, bu := bs[wd]&^bus[wd], bus[wd]
 				agree := ^(av ^ bv) &^ (au | bu)
-				nv[o+wd] = av&selL | bv&selH | av&agree&su
-				nu[o+wd] = au&selL | bu&selH | ^agree&su
+				ov[wd] = av&selL | bv&selH | av&agree&su
+				ou[wd] = au&selL | bu&selH | ^agree&su
 			}
 		}
 	}
@@ -283,18 +303,18 @@ func runXor2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64)
 			}
 		}
 	}
+	m := invertMask(invert)
 	return func(cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 3 {
 			a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2])
-			for wd := 0; wd < words; wd++ {
-				u := cu[a+wd] | cu[b+wd]
-				one := (cv[a+wd] ^ cv[b+wd]) &^ u
-				zero := ^(cv[a+wd] ^ cv[b+wd]) &^ u
-				if invert {
-					one, zero = zero, one
-				}
-				nv[o+wd] = one
-				nu[o+wd] = ^(one | zero)
+			ov, ou := nv[o:o+words], nu[o:o+words]
+			as, aus := cv[a:a+words], cu[a:a+words]
+			bs, bus := cv[b:b+words], cu[b:b+words]
+			_, _, _, _, _ = ou[len(ov)-1], as[len(ov)-1], aus[len(ov)-1], bs[len(ov)-1], bus[len(ov)-1]
+			for wd := range ov {
+				u := aus[wd] | bus[wd]
+				ov[wd] = (as[wd] ^ bs[wd] ^ m) &^ u
+				ou[wd] = u
 			}
 		}
 	}

@@ -111,7 +111,7 @@ type Config struct {
 
 	// Checkpoint asks the engine to write periodic snapshots at quiescent
 	// points (see CheckpointSpec). Only the synchronous engines
-	// (sequential, compiled, vector) support it; RunEngine rejects the
+	// (sequential, compiled, jit and vector) support it; RunEngine rejects the
 	// request for every other engine with checkpoint.ErrUnsupported.
 	Checkpoint CheckpointSpec
 	// ResumeFrom names a snapshot file to continue from instead of
@@ -134,12 +134,13 @@ type Config struct {
 	// nil; the fallback run never sees it.
 	Chaos *guard.ChaosProbe
 
-	// Batched-simulation fields, honoured by the vector engine and ignored
-	// by the scalar engines.
+	// Batched-simulation fields, honoured by the lane engines (jit and
+	// vector, see LaneEngine) and ignored by the scalar engines.
 	//
 	// Lanes is the number of independent stimulus vectors simulated at
-	// once (1..logic.MaxWideLanes; 0 defaults to one 64-lane plane word;
-	// larger counts widen every plane to ceil(Lanes/64) words).
+	// once (1..logic.MaxWideLanes; 0 takes the engine's DefaultLanes —
+	// one for jit, one 64-lane plane word for vector; larger counts widen
+	// every plane to ceil(Lanes/64) words).
 	Lanes int
 	// LaneStride offsets the Seed of rand/gray stimulus generators per
 	// lane: lane k runs with Seed + k*LaneStride, so lane 0 always replays
@@ -152,7 +153,7 @@ type Config struct {
 	// FaultSim switches the run to concurrent stuck-at fault simulation:
 	// lane 0 simulates the good machine, lanes 1..Lanes-1 each carry one
 	// fault from the analyzer's collapsed stuck-at list, and the Report
-	// carries FaultCoverage. Only the vector engine supports it; RunEngine
+	// carries FaultCoverage. Only the lane engines support it; RunEngine
 	// rejects the flag for every other engine.
 	FaultSim bool
 	// FaultMaxPasses caps fault-list chunking (each pass simulates Lanes-1
@@ -262,7 +263,7 @@ type Report struct {
 	// GVTRounds counts time-warp synchronisation rounds.
 	GVTRounds int64
 	// LaneFinal holds every stimulus lane's final node values from a
-	// batched vector run, indexed [lane][NodeID]; LaneFinal[ProbeLane]
+	// lane engine's run, indexed [lane][NodeID]; LaneFinal[ProbeLane]
 	// equals Final. Nil for the scalar engines.
 	LaneFinal [][]logic.Value
 	// FaultCoverage reports stuck-at coverage from a fault-simulation run
@@ -316,6 +317,15 @@ type Engine interface {
 	// Name is the canonical registry name (matches Algorithm.String()).
 	Name() string
 	Run(ctx context.Context, c *circuit.Circuit, cfg Config) (*Report, error)
+}
+
+// LaneEngine is implemented by the engines that carry the stimulus-lane
+// axis (Config.Lanes, LaneStride, ProbeLane and FaultSim); the scalar
+// engines ignore those fields.
+type LaneEngine interface {
+	Engine
+	// DefaultLanes is the lane count a run gets when Config.Lanes is 0.
+	DefaultLanes() int
 }
 
 // ---- registry ----
@@ -406,8 +416,8 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.FaultSim && e.Name() != "vector" {
-		return nil, fmt.Errorf("parsim: fault simulation requires the vector engine, not %q", e.Name())
+	if _, laned := e.(LaneEngine); cfg.FaultSim && !laned {
+		return nil, fmt.Errorf("parsim: fault simulation requires a lane engine (jit or vector), not %q", e.Name())
 	}
 	var fb Engine
 	if cfg.Fallback.Enabled() {

@@ -8,9 +8,6 @@ import (
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
-
-	// The batched engine registers itself like the scalar simulators.
-	_ "parsim/internal/vector"
 )
 
 // v1 — batched compiled-mode throughput: the bit-parallel vector engine

@@ -11,7 +11,7 @@ import (
 func allEngines() map[string]bool {
 	return map[string]bool{
 		"sequential": true, "event-driven": true, "compiled": true,
-		"vector": true, "jit": true, "asynchronous": true,
+		"jit": true, "asynchronous": true,
 		"chandy-misra": true, "time-warp": true, "distributed-async": true,
 	}
 }
@@ -83,7 +83,7 @@ func TestPredictSparseCircuitAvoidsAsyncSerialisation(t *testing.T) {
 	}
 }
 
-// TestPredictNonUnitDelayGatesCompiled: compiled and vector rank-order
+// TestPredictNonUnitDelayGatesCompiled: compiled and jit rank-order
 // evaluation diverges from event timing on non-unit-delay circuits, so
 // both must be marked ineligible with a reason.
 func TestPredictNonUnitDelayGatesCompiled(t *testing.T) {
@@ -94,7 +94,7 @@ func TestPredictNonUnitDelayGatesCompiled(t *testing.T) {
 	preds := Predict(p, PredictOptions{MaxWorkers: 4})
 	seen := 0
 	for _, pr := range preds {
-		if pr.Engine == "compiled" || pr.Engine == "vector" || pr.Engine == "jit" {
+		if pr.Engine == "compiled" || pr.Engine == "jit" {
 			seen++
 			if pr.Eligible {
 				t.Errorf("%q eligible on a non-unit-delay circuit", pr.Engine)
@@ -104,26 +104,26 @@ func TestPredictNonUnitDelayGatesCompiled(t *testing.T) {
 			}
 		}
 	}
-	if seen != 3 {
-		t.Fatalf("compiled/vector/jit predictions missing (%d found)", seen)
+	if seen != 2 {
+		t.Fatalf("compiled/jit predictions missing (%d found)", seen)
 	}
 }
 
-// TestPredictLanesAmortiseVector: a batched job divides the vector pass
-// over its lanes; at 64 lanes the per-job span must drop well below the
-// scalar vector prediction.
+// TestPredictLanesAmortiseVector: a batched ("vector") job divides the
+// lane engine's pass over its lanes; at 64 lanes the per-job span must drop
+// well below the scalar jit prediction.
 func TestPredictLanesAmortiseVector(t *testing.T) {
 	p := analyze.Profile(gen.InverterArray(gen.DefaultInverterArray()))
 	span := func(lanes int) float64 {
 		for _, pr := range Predict(p, PredictOptions{MaxWorkers: 1, Lanes: lanes}) {
-			if pr.Engine == "vector" {
+			if pr.Engine == "jit" {
 				if pr.Lanes != max(1, lanes) {
-					t.Fatalf("vector prediction carries %d lanes, want %d", pr.Lanes, max(1, lanes))
+					t.Fatalf("jit prediction carries %d lanes, want %d", pr.Lanes, max(1, lanes))
 				}
 				return pr.Span
 			}
 		}
-		t.Fatal("no vector prediction")
+		t.Fatal("no jit prediction")
 		return 0
 	}
 	scalar, batched := span(0), span(64)

@@ -39,12 +39,12 @@ type job struct {
 	lint     engine.LintMode
 	fallback bool
 	costSpin int64
-	// Batched-run fields, passed through to the vector engine (and
-	// ignored by the scalar engines).
+	// Batched-run fields, passed through to the lane engines, jit and
+	// vector (and ignored by the scalar engines).
 	lanes      int
 	laneStride int64
 	probeLane  int
-	// Fault-simulation fields (vector engine only; validated at admission).
+	// Fault-simulation fields (lane engines only; validated at admission).
 	faultSim  bool
 	faultCap  int
 	faultStat bool

@@ -217,9 +217,9 @@ type jobRequest struct {
 	CostSpin int64 `json:"cost_spin,omitempty"`
 	// Watch lists node names to record; required for the /vcd endpoint.
 	Watch []string `json:"watch,omitempty"`
-	// Lanes batches seed-shifted stimulus vectors into one run of the
-	// vector engine (0 = engine default of 64, one machine word; larger
-	// counts widen every node plane to ceil(lanes/64) words and are
+	// Lanes batches seed-shifted stimulus vectors into one run of a lane
+	// engine (0 = the engine's default: 64, one machine word, for vector
+	// and 1 for jit; larger counts widen every node plane to ceil(lanes/64) words and are
 	// admission-checked against the server's plane budget; ignored by the
 	// scalar engines). One job, one core reservation, Lanes results: the
 	// per-lane final values come back in the result's lane_final rows.
@@ -229,11 +229,11 @@ type jobRequest struct {
 	// ProbeLane selects the lane the watch recording and the final values
 	// observe (default 0, the scalar-identical lane).
 	ProbeLane int `json:"probe_lane,omitempty"`
-	// FaultSim switches a vector-engine job to concurrent stuck-at fault
-	// simulation: lane 0 simulates the good machine, every other lane
-	// injects one fault from the circuit's collapsed stuck-at list, and
-	// the result carries a fault_coverage section. Rejected (400) on any
-	// other engine.
+	// FaultSim switches a lane-engine (jit or vector) job to concurrent
+	// stuck-at fault simulation: lane 0 simulates the good machine, every
+	// other lane injects one fault from the circuit's collapsed stuck-at
+	// list, and the result carries a fault_coverage section. Rejected (400)
+	// on the scalar engines and on fewer than 2 lanes.
 	FaultSim bool `json:"fault_sim,omitempty"`
 	// FaultMaxPasses caps the chunked fault passes (0 = whole list).
 	FaultMaxPasses int `json:"fault_max_passes,omitempty"`
@@ -422,17 +422,30 @@ func (s *Server) buildJob(req *jobRequest) (*job, int, error) {
 	if req.Lanes < 0 || req.Lanes > logic.MaxWideLanes {
 		return fail(http.StatusBadRequest, "lanes must be in [0,%d], got %d", logic.MaxWideLanes, req.Lanes)
 	}
+	// Lane fields bind only on the lane engines, and each of those names
+	// its own default width (jit one lane, vector 64): validate against
+	// the lane count the named engine will actually run. auto hands the request's lanes to its pick (jit when lanes > 1,
+	// otherwise a scalar engine or jit at one lane), so it is held to the
+	// same checks at that width.
+	le, laned := eng.(engine.LaneEngine)
+	isAuto := eng.Name() == "auto"
 	lanes := req.Lanes
-	if lanes == 0 {
-		lanes = logic.MaxLanes
+	switch {
+	case laned && lanes == 0:
+		lanes = le.DefaultLanes()
+	case isAuto && lanes == 0:
+		lanes = 1
 	}
-	if req.ProbeLane < 0 || req.ProbeLane >= lanes {
+	if req.ProbeLane < 0 {
+		return fail(http.StatusBadRequest, "probe_lane must be >= 0, got %d", req.ProbeLane)
+	}
+	if (laned || isAuto) && req.ProbeLane >= lanes {
 		return fail(http.StatusBadRequest, "probe_lane %d outside [0,%d)", req.ProbeLane, lanes)
 	}
 	if req.FaultSim {
-		if eng.Name() != "vector" {
+		if !laned {
 			return fail(http.StatusBadRequest,
-				"fault_sim requires the vector engine, not %q", eng.Name())
+				"fault_sim requires a lane engine (jit or vector), not %q", eng.Name())
 		}
 		if lanes < 2 {
 			return fail(http.StatusBadRequest,
@@ -453,10 +466,9 @@ func (s *Server) buildJob(req *jobRequest) (*job, int, error) {
 	}
 	// Lane-width-aware admission: a batched job's state footprint scales
 	// with nodes x plane words, so a wide-lane job must fit the same node
-	// budget a 64-lane job is held to. The vector and jit engines both
-	// carry per-lane planes; scalar engines ignore lanes and carry one
-	// machine word per node either way.
-	if eng.Name() == "vector" || eng.Name() == "jit" {
+	// budget a 64-lane job is held to. Scalar engines ignore lanes and
+	// carry one machine word per node either way.
+	if laned || isAuto {
 		if words := logic.PlaneWords(lanes); len(circ.Nodes)*words > s.cfg.MaxNodes {
 			return fail(http.StatusRequestEntityTooLarge,
 				"circuit nodes (%d) x plane words (%d) exceeds the node budget %d; lower lanes or shrink the netlist",

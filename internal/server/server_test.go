@@ -565,6 +565,14 @@ func TestBatchedAdmissionValidation(t *testing.T) {
 		{"negative probe lane", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, ProbeLane: -1}, "probe_lane"},
 		{"fault sim on scalar engine", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, FaultSim: true}, "fault_sim"},
 		{"fault sim single lane", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1, FaultSim: true}, "fault_sim"},
+		// jit runs one lane unless asked for more, unlike vector's 64.
+		{"jit probe lane past its one-lane default", jobRequest{Netlist: testNetlist, Engine: "jit", Horizon: 8, ProbeLane: 5}, "probe_lane"},
+		{"jit fault sim at its one-lane default", jobRequest{Netlist: testNetlist, Engine: "jit", Horizon: 8, FaultSim: true}, "fault_sim"},
+		// auto forces jit at the requested width when lanes > 1, and runs
+		// at most one lane otherwise.
+		{"auto probe lane past its lanes", jobRequest{Netlist: testNetlist, Engine: "auto", Horizon: 8, Lanes: 4, ProbeLane: 7}, "probe_lane"},
+		{"auto probe lane at one lane", jobRequest{Netlist: testNetlist, Engine: "auto", Horizon: 8, ProbeLane: 1}, "probe_lane"},
+		{"auto fault sim", jobRequest{Netlist: testNetlist, Engine: "auto", Horizon: 8, Lanes: 4, FaultSim: true}, "fault_sim"},
 	}
 	for _, tc := range cases {
 		var errBody errorBody
@@ -598,6 +606,8 @@ func TestWideLaneAdmission(t *testing.T) {
 		{"max width too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: logic.MaxWideLanes}, 413, "plane words"},
 		{"fault sim wide too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1024, FaultSim: true}, 413, "plane words"},
 		{"scalar ignores lanes", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, Lanes: logic.MaxWideLanes}, 202, ""},
+		{"auto wide too big", jobRequest{Netlist: testNetlist, Engine: "auto", Horizon: 8, Lanes: 192}, 413, "plane words"},
+		{"auto wide fits", jobRequest{Netlist: testNetlist, Engine: "auto", Horizon: 8, Lanes: 128, ProbeLane: 127}, 202, ""},
 	}
 	for _, tc := range cases {
 		var errBody errorBody
@@ -622,37 +632,40 @@ func TestWideLaneAdmission(t *testing.T) {
 // of the inverter ring's collapsed fault list.
 func TestWideFaultJob(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
-	var sub jobView
-	resp := ts.submit(t, jobRequest{
-		Netlist: testNetlist, Engine: "vector", Workers: 1, Horizon: 64,
-		Lanes: 64, FaultSim: true, FaultStatuses: true,
-	}, &sub)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	v := ts.await(t, sub.ID, 10*time.Second)
-	if v.State != jobDone {
-		t.Fatalf("state %s (error %q)", v.State, v.Error)
-	}
-	cov := v.Result.FaultCoverage
-	if cov == nil {
-		t.Fatal("fault job result has no fault_coverage")
-	}
-	// The ring collapses every inverter output into the clock node: one
-	// site, two polarities, both detected at the ring's sink.
-	if cov.Total != 2 || cov.Detected != 2 {
-		t.Fatalf("coverage %d/%d, want 2/2; statuses %+v", cov.Detected, cov.Total, cov.Faults)
-	}
-	if len(cov.Faults) != 2 {
-		t.Fatalf("fault_statuses rows = %d, want 2", len(cov.Faults))
-	}
-	for _, st := range cov.Faults {
-		if !strings.Contains(st.Site, "clk") || !st.Detected || st.Step < 0 {
-			t.Fatalf("unexpected status row %+v", st)
+	// Both lane engine names admit fault_sim and grade identically.
+	for _, eng := range []string{"vector", "jit"} {
+		var sub jobView
+		resp := ts.submit(t, jobRequest{
+			Netlist: testNetlist, Engine: eng, Workers: 1, Horizon: 64,
+			Lanes: 64, FaultSim: true, FaultStatuses: true,
+		}, &sub)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d", eng, resp.StatusCode)
 		}
-	}
-	if len(v.Result.LaneFinal) != 0 {
-		t.Fatalf("fault job reported %d lane rows, want none", len(v.Result.LaneFinal))
+		v := ts.await(t, sub.ID, 10*time.Second)
+		if v.State != jobDone {
+			t.Fatalf("%s: state %s (error %q)", eng, v.State, v.Error)
+		}
+		cov := v.Result.FaultCoverage
+		if cov == nil {
+			t.Fatalf("%s: fault job result has no fault_coverage", eng)
+		}
+		// The ring collapses every inverter output into the clock node: one
+		// site, two polarities, both detected at the ring's sink.
+		if cov.Total != 2 || cov.Detected != 2 {
+			t.Fatalf("%s: coverage %d/%d, want 2/2; statuses %+v", eng, cov.Detected, cov.Total, cov.Faults)
+		}
+		if len(cov.Faults) != 2 {
+			t.Fatalf("%s: fault_statuses rows = %d, want 2", eng, len(cov.Faults))
+		}
+		for _, st := range cov.Faults {
+			if !strings.Contains(st.Site, "clk") || !st.Detected || st.Step < 0 {
+				t.Fatalf("%s: unexpected status row %+v", eng, st)
+			}
+		}
+		if len(v.Result.LaneFinal) != 0 {
+			t.Fatalf("%s: fault job reported %d lane rows, want none", eng, len(v.Result.LaneFinal))
+		}
 	}
 }
 

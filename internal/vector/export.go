@@ -50,10 +50,9 @@ func exportKernel(k kernel) ElemKernel {
 
 // CompileElemKernel compiles one element into its bit-parallel plane-op
 // kernel against a caller-owned node numbering: off[n] is the first plane
-// of node n. Every kind the batched engine lowers natively (gates,
-// mux/registers, wiring, comparisons, adders, the bit-sliced functional
-// kinds) gets the same kernel here; unknown kinds fall back to per-lane
-// scalar evaluation.
+// of node n. Gates, mux/registers, wiring, comparisons, adders and the
+// bit-sliced functional kinds get native plane kernels; unknown kinds fall
+// back to per-lane scalar evaluation.
 func CompileElemKernel(c *circuit.Circuit, el *circuit.Element, off []int32, lanes int) ElemKernel {
 	return exportKernel(compileElem(c, el, layout{off: off}, lanes))
 }
@@ -84,9 +83,9 @@ type GenExec struct {
 	Out OutSpan
 }
 
-// CompileGenExec compiles one generator element the same way the batched
-// engine does: clock/wave/const broadcast lane-invariant values, rand/gray
-// get per-lane seed-offset copies when lanes > 1 and stride != 0.
+// CompileGenExec compiles one generator element: clock/wave/const
+// broadcast lane-invariant values, rand/gray get per-lane seed-offset
+// copies when lanes > 1 and stride != 0.
 func CompileGenExec(c *circuit.Circuit, el *circuit.Element, off []int32, lanes int, stride int64) GenExec {
 	g := compileGen(c, el, layout{off: off}, lanes, stride)
 	return GenExec{

@@ -1,14 +1,18 @@
-package vector
+package vector_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"parsim/internal/analyze"
+	"parsim/internal/codegen"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
-	"parsim/internal/logic"
 )
+
+// Concurrent stuck-at fault simulation over the plane kernels, run by the
+// lane engine's step loop (internal/codegen, fault.go).
 
 // TestWideFaultInverterArrayFullCoverage runs concurrent fault simulation on
 // the paper's control circuit. The collapsed fault list is exactly the chain
@@ -20,9 +24,9 @@ func TestWideFaultInverterArrayFullCoverage(t *testing.T) {
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 8, 8, 8
 	c := gen.InverterArray(cfg)
 
-	res, err := Run(c, Options{
+	res, err := codegen.Run(c, codegen.Options{
 		Workers: 2, Horizon: 64, Lanes: 64,
-		FaultSim: &FaultOptions{KeepStatuses: true},
+		FaultSim: &codegen.FaultOptions{KeepStatuses: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +72,9 @@ func TestWideFaultGateMultiplierCoverage(t *testing.T) {
 	if len(faults) <= 64 {
 		t.Fatalf("multiplier fault list has %d faults; want >64 so a 256-lane pass crosses words", len(faults))
 	}
-	res, err := Run(c, Options{
+	res, err := codegen.Run(c, codegen.Options{
 		Workers: 2, Horizon: 1024, Lanes: 256,
-		FaultSim: &FaultOptions{},
+		FaultSim: &codegen.FaultOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +104,10 @@ func TestWideFaultMultiPassMatchesSinglePass(t *testing.T) {
 	c := gen.InverterArray(cfg)
 	faults := analyze.FaultList(c, false) // full universe: force several passes
 
-	run := func(lanes int) *Result {
-		res, err := Run(c, Options{
+	run := func(lanes int) *codegen.Result {
+		res, err := codegen.Run(c, codegen.Options{
 			Workers: 1, Horizon: 48, Lanes: lanes,
-			FaultSim: &FaultOptions{Faults: faults, KeepStatuses: true},
+			FaultSim: &codegen.FaultOptions{Faults: faults, KeepStatuses: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -135,13 +139,13 @@ func TestWideFaultGoodMachineUnperturbed(t *testing.T) {
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 4, 6, 4
 	c := gen.InverterArray(cfg)
 
-	plain, err := Run(c, Options{Workers: 1, Horizon: 50, Lanes: 1})
+	plain, err := codegen.Run(c, codegen.Options{Workers: 1, Horizon: 50, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := Run(c, Options{
+	faulty, err := codegen.Run(c, codegen.Options{
 		Workers: 2, Horizon: 50, Lanes: 64,
-		FaultSim: &FaultOptions{},
+		FaultSim: &codegen.FaultOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +166,9 @@ func TestWideFaultMaxPasses(t *testing.T) {
 	c := gen.InverterArray(cfg)
 	faults := analyze.FaultList(c, true) // 16 faults
 
-	res, err := Run(c, Options{
+	res, err := codegen.Run(c, codegen.Options{
 		Workers: 1, Horizon: 40, Lanes: 8, // 7 faults per pass
-		FaultSim: &FaultOptions{Faults: faults, MaxPasses: 1, KeepStatuses: true},
+		FaultSim: &codegen.FaultOptions{Faults: faults, MaxPasses: 1, KeepStatuses: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,30 +191,52 @@ func TestWideFaultMaxPasses(t *testing.T) {
 // plus at least one fault lane.
 func TestWideFaultOptionValidation(t *testing.T) {
 	c := gen.RandomUnitCircuit(3, 20)
-	if _, err := Run(c, Options{Workers: 1, Horizon: 10, Lanes: 1, FaultSim: &FaultOptions{}}); err == nil {
+	if _, err := codegen.Run(c, codegen.Options{Workers: 1, Horizon: 10, Lanes: 1, FaultSim: &codegen.FaultOptions{}}); err == nil {
 		t.Fatal("Lanes=1 fault sim accepted")
 	}
 }
 
 // TestWideFaultEngineDispatch drives fault simulation through the unified
-// engine registry and checks the engine layer rejects non-vector engines.
+// engine registry under both lane engine names — identical coverage, the
+// vector name defaulting to 64 lanes — and checks the engine layer rejects
+// the scalar engines.
 func TestWideFaultEngineDispatch(t *testing.T) {
 	cfg := gen.DefaultInverterArray()
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 4, 4, 4
 	c := gen.InverterArray(cfg)
 
-	rep, err := engine.Run(context.Background(), "vector", c, engine.Config{
-		Workers: 1, Horizon: 40, Lanes: 64,
-		FaultSim: true, FaultStatuses: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var ref *engine.Report
+	for _, tc := range []struct {
+		name  string
+		lanes int
+	}{{"vector", 0}, {"vector", 64}, {"jit", 64}} {
+		rep, err := engine.Run(context.Background(), tc.name, c, engine.Config{
+			Workers: 1, Horizon: 40, Lanes: tc.lanes,
+			FaultSim: true, FaultStatuses: true,
+		})
+		if err != nil {
+			t.Fatalf("%s/%d: %v", tc.name, tc.lanes, err)
+		}
+		fc := rep.FaultCoverage
+		if fc == nil || fc.Detected == 0 {
+			t.Fatalf("%s/%d: registry fault run reported no coverage: %+v", tc.name, tc.lanes, fc)
+		}
+		if len(fc.Faults) == 0 {
+			t.Fatalf("%s/%d: FaultStatuses did not propagate status rows", tc.name, tc.lanes)
+		}
+		if fc.Lanes != 64 {
+			t.Fatalf("%s/%d: ran %d lanes, want 64", tc.name, tc.lanes, fc.Lanes)
+		}
+		if ref == nil {
+			ref = rep
+		} else if !reflect.DeepEqual(fc, ref.FaultCoverage) {
+			t.Fatalf("%s/%d: coverage %+v differs from vector's %+v", tc.name, tc.lanes, fc, ref.FaultCoverage)
+		}
 	}
-	if rep.FaultCoverage == nil || rep.FaultCoverage.Detected == 0 {
-		t.Fatalf("registry fault run reported no coverage: %+v", rep.FaultCoverage)
-	}
-	if len(rep.FaultCoverage.Faults) == 0 {
-		t.Fatal("FaultStatuses did not propagate status rows")
+	if _, err := engine.Run(context.Background(), "jit", c, engine.Config{
+		Workers: 1, Horizon: 40, FaultSim: true,
+	}); err == nil {
+		t.Fatal("jit at its one-lane default accepted a fault-sim config")
 	}
 
 	if _, err := engine.Run(context.Background(), "compiled", c, engine.Config{
@@ -218,5 +244,4 @@ func TestWideFaultEngineDispatch(t *testing.T) {
 	}); err == nil {
 		t.Fatal("compiled engine accepted a fault-sim config")
 	}
-	_ = logic.MaxWideLanes
 }

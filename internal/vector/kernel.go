@@ -1,3 +1,13 @@
+// Package vector is the bit-parallel kernel library: every element kind
+// compiled to a plane-op kernel that evaluates N independent stimulus
+// lanes at once — 64 lanes per machine word, as many words per plane as
+// the run requests — with word-wide boolean instructions over a pair of
+// bit planes (value/unknown) per node bit. Gates, mux/registers, wiring,
+// comparisons and adders get native plane kernels; mul/alu/rom/ram get
+// bit-sliced tables (bitsliced.go). The kernels are proven against the
+// scalar element registry by exhaustive truth tables (kernel_test.go).
+// The one step loop that runs them lives in internal/codegen, which
+// reaches them through export.go and registers the "vector" engine name.
 package vector
 
 import (
@@ -5,23 +15,11 @@ import (
 	"parsim/internal/logic"
 )
 
-// layout assigns every node a contiguous run of wide planes in the double
-// buffer: node n's bit b lives at off[n]+b. The whole circuit state for N
-// stimulus lanes is two flat []WidePlane arrays swept in levelized order;
-// each plane is `words` machine-word pairs wide.
+// layout assigns every node a contiguous run of wide planes in a
+// caller-owned numbering: node n's bit b lives at off[n]+b, and each plane
+// is `words` machine-word pairs wide.
 type layout struct {
-	off   []int32
-	total int
-}
-
-func newLayout(c *circuit.Circuit) layout {
-	off := make([]int32, len(c.Nodes))
-	n := int32(0)
-	for i := range c.Nodes {
-		off[i] = n
-		n += int32(c.Nodes[i].Width)
-	}
-	return layout{off: off, total: int(n)}
+	off []int32
 }
 
 // span locates one node's planes.
@@ -74,8 +72,8 @@ func zeroWide(dst logic.WidePlane) {
 // planes from cur and writes every output plane in next, for all lanes at
 // once, looping the proven single-word plane ops over the plane words.
 // Kernels with internal state (DFF, latch, RAM) own it via closure; each
-// element belongs to exactly one partition, so exactly one worker ever runs
-// its kernel.
+// element belongs to exactly one worker's stripe, so exactly one worker ever
+// runs its kernel.
 type kernel struct {
 	eid  circuit.ElemID
 	cost int64

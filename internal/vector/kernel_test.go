@@ -207,9 +207,21 @@ func testKernelsAtWidth(t *testing.T, lanes int) {
 	}
 }
 
+// testLayout numbers the nodes of c in declaration order and returns the
+// layout with its total plane count.
+func testLayout(c *circuit.Circuit) (layout, int) {
+	off := make([]int32, len(c.Nodes))
+	n := int32(0)
+	for i := range c.Nodes {
+		off[i] = n
+		n += int32(c.Nodes[i].Width)
+	}
+	return layout{off: off}, int(n)
+}
+
 func proveKernel(t *testing.T, kind circuit.Kind, sh kernelShape, lanes int) {
 	c, el := buildShape(t, kind, sh)
-	lay := newLayout(c)
+	lay, total := testLayout(c)
 	kern := compileElem(c, el, lay, lanes)
 	words := logic.PlaneWords(lanes)
 
@@ -237,8 +249,8 @@ func proveKernel(t *testing.T, kind circuit.Kind, sh kernelShape, lanes int) {
 		}
 	}
 
-	cur := newWidePlanes(lay.total, words)
-	next := newWidePlanes(lay.total, words)
+	cur := newWidePlanes(total, words)
+	next := newWidePlanes(total, words)
 	rng := rand.New(rand.NewSource(int64(kind)*7919 + int64(totalBits) + int64(lanes)))
 
 	inVals := make([][]logic.Value, lanes)

@@ -1,4 +1,9 @@
-package vector
+// The batched ("vector") run-loop tests. The package itself holds only the
+// plane kernels; the one step loop that runs them is internal/codegen's,
+// registered under both "jit" and "vector". These tests drive that loop
+// the way a vector run does — many live lanes, or the registry name with
+// its 64-lane default — and pin it against the scalar compiled engine.
+package vector_test
 
 import (
 	"bytes"
@@ -7,6 +12,7 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/codegen"
 	"parsim/internal/compiled"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
@@ -34,7 +40,7 @@ func TestLanesMatchScalarCompiled(t *testing.T) {
 	c := gen.RandomUnitCircuit(11, 80)
 	const lanes, stride, horizon = 8, 3, 150
 
-	res, err := Run(c, Options{
+	res, err := codegen.Run(c, codegen.Options{
 		Workers: 2, Horizon: horizon,
 		Lanes: lanes, LaneStride: stride,
 	})
@@ -71,7 +77,7 @@ func TestGoldenVCDByteMatch(t *testing.T) {
 
 	for lane := 0; lane < lanes; lane++ {
 		vrec := trace.NewRecorder()
-		if _, err := Run(c, Options{
+		if _, err := codegen.Run(c, codegen.Options{
 			Workers: 2, Horizon: horizon, Probe: vrec,
 			Lanes: lanes, LaneStride: stride, ProbeLane: lane,
 		}); err != nil {
@@ -106,7 +112,7 @@ func TestLaneZeroMatchesScalarHistory(t *testing.T) {
 	const horizon = 200
 
 	vrec := trace.NewRecorder()
-	if _, err := Run(c, Options{Workers: 3, Horizon: horizon, Probe: vrec}); err != nil {
+	if _, err := codegen.Run(c, codegen.Options{Workers: 3, Horizon: horizon, Probe: vrec, Lanes: logic.MaxLanes}); err != nil {
 		t.Fatal(err)
 	}
 	srec := trace.NewRecorder()
@@ -118,7 +124,7 @@ func TestLaneZeroMatchesScalarHistory(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	c := gen.RandomUnitCircuit(1, 20)
-	cases := []Options{
+	cases := []codegen.Options{
 		{Workers: 1, Horizon: 10, Lanes: -1},
 		{Workers: 1, Horizon: 10, Lanes: logic.MaxWideLanes + 1},
 		{Workers: 1, Horizon: 10, Lanes: 4, ProbeLane: 4},
@@ -126,7 +132,7 @@ func TestOptionValidation(t *testing.T) {
 		{Workers: 0, Horizon: 10},
 	}
 	for i, opts := range cases {
-		if _, err := Run(c, opts); err == nil {
+		if _, err := codegen.Run(c, opts); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
@@ -134,7 +140,7 @@ func TestOptionValidation(t *testing.T) {
 
 func TestSingleLane(t *testing.T) {
 	c := gen.RandomUnitCircuit(9, 40)
-	res, err := Run(c, Options{Workers: 1, Horizon: 100, Lanes: 1})
+	res, err := codegen.Run(c, codegen.Options{Workers: 1, Horizon: 100, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +161,7 @@ func TestCancellation(t *testing.T) {
 	c := gen.RandomUnitCircuit(2, 60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, c, Options{Workers: 2, Horizon: 1 << 20})
+	res, err := codegen.RunContext(ctx, c, codegen.Options{Workers: 2, Horizon: 1 << 20, Lanes: logic.MaxLanes})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -165,21 +171,47 @@ func TestCancellation(t *testing.T) {
 }
 
 // TestRegistryDispatch runs the engine through the unified registry,
-// proving registration, alias resolution and LaneFinal plumbing.
+// proving registration, alias resolution and LaneFinal plumbing: the
+// vector names with Lanes 0 run one full 64-lane word, jit runs one lane,
+// and every name reproduces the same lanes when given the same width.
 func TestRegistryDispatch(t *testing.T) {
 	c := gen.RandomUnitCircuit(4, 40)
-	for _, name := range []string{"vector", "batched", "bit-parallel"} {
+	run := func(name string, lanes int) *engine.Report {
+		t.Helper()
 		rep, err := engine.Run(context.Background(), name, c, engine.Config{
-			Workers: 1, Horizon: 50, Lanes: 4,
+			Workers: 1, Horizon: 50, Lanes: lanes,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(rep.LaneFinal) != 4 {
-			t.Fatalf("%s: LaneFinal rows = %d", name, len(rep.LaneFinal))
-		}
 		if rep.Run.Algorithm == "" || rep.Run.NodeUpdates == 0 {
 			t.Fatalf("%s: empty stats: %+v", name, rep.Run)
+		}
+		return rep
+	}
+	ref := run("jit", logic.MaxLanes)
+	for _, name := range []string{"vector", "batched", "bit-parallel"} {
+		if e, _ := engine.Get(name); e == nil || e.Name() != "vector" {
+			t.Fatalf("%s does not resolve to the vector engine", name)
+		}
+		if rep := run(name, 4); len(rep.LaneFinal) != 4 {
+			t.Fatalf("%s: LaneFinal rows = %d, want 4", name, len(rep.LaneFinal))
+		}
+		rep := run(name, 0)
+		if len(rep.LaneFinal) != logic.MaxLanes {
+			t.Fatalf("%s with Lanes 0: LaneFinal rows = %d, want %d", name, len(rep.LaneFinal), logic.MaxLanes)
+		}
+		for l := range rep.LaneFinal {
+			for n := range c.Nodes {
+				if rep.LaneFinal[l][n] != ref.LaneFinal[l][n] {
+					t.Fatalf("%s lane %d node %d: %v, jit says %v", name, l, n, rep.LaneFinal[l][n], ref.LaneFinal[l][n])
+				}
+			}
+		}
+	}
+	for _, name := range []string{"jit", "codegen"} {
+		if rep := run(name, 0); len(rep.LaneFinal) != 1 {
+			t.Fatalf("%s with Lanes 0: LaneFinal rows = %d, want 1", name, len(rep.LaneFinal))
 		}
 	}
 }
@@ -191,7 +223,7 @@ func TestInverterArraySanity(t *testing.T) {
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 8, 8, 8
 	c := gen.InverterArray(cfg)
 	vrec := trace.NewRecorder()
-	if _, err := Run(c, Options{Workers: 1, Horizon: 96, Probe: vrec}); err != nil {
+	if _, err := codegen.Run(c, codegen.Options{Workers: 1, Horizon: 96, Probe: vrec, Lanes: logic.MaxLanes}); err != nil {
 		t.Fatal(err)
 	}
 	srec := trace.NewRecorder()
@@ -203,23 +235,25 @@ func TestInverterArraySanity(t *testing.T) {
 
 func TestZeroHorizon(t *testing.T) {
 	c := gen.RandomUnitCircuit(6, 20)
-	res, err := Run(c, Options{Workers: 1, Horizon: 0, Lanes: 2})
+	res, err := codegen.Run(c, codegen.Options{Workers: 1, Horizon: 0, Lanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Final) != len(c.Nodes) {
 		t.Fatalf("Final len = %d", len(res.Final))
 	}
-	_ = res
+	if res.Run.TimeSteps != 0 || res.Run.Evals != 0 {
+		t.Fatalf("zero horizon ran: %+v", res.Run)
+	}
 }
 
 func TestLaneStrideZeroDefaultsToOne(t *testing.T) {
 	c := gen.RandomUnitCircuit(8, 40)
-	a, err := Run(c, Options{Workers: 1, Horizon: 80, Lanes: 4})
+	a, err := codegen.Run(c, codegen.Options{Workers: 1, Horizon: 80, Lanes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, Options{Workers: 1, Horizon: 80, Lanes: 4, LaneStride: 1})
+	b, err := codegen.Run(c, codegen.Options{Workers: 1, Horizon: 80, Lanes: 4, LaneStride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,5 +264,4 @@ func TestLaneStrideZeroDefaultsToOne(t *testing.T) {
 			}
 		}
 	}
-	_ = logic.MaxLanes
 }

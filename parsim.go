@@ -66,7 +66,6 @@ import (
 	_ "parsim/internal/parevent"
 	_ "parsim/internal/seq"
 	_ "parsim/internal/timewarp"
-	_ "parsim/internal/vector"
 )
 
 // Core value and netlist types, re-exported from the implementation
@@ -117,8 +116,8 @@ const (
 	Z = logic.Z
 )
 
-// MaxLanes is the widest lane count a Vector run accepts: 64 lanes per
-// machine word times the widest supported plane.
+// MaxLanes is the widest lane count a Vector or JIT run accepts: 64 lanes
+// per machine word times the widest supported plane.
 const MaxLanes = logic.MaxWideLanes
 
 // Element kinds, re-exported with friendlier names.
@@ -221,13 +220,14 @@ const (
 	// contribution is exactly the incremental valid-time advancement that
 	// makes these deadlocks impossible; Result.Rounds counts them.
 	ChandyMisra
-	// Vector is the bit-parallel batched compiled-mode algorithm: N
-	// independent stimulus lanes advance through the circuit simultaneously,
-	// 64 lanes per machine word and as many words per node plane as the run
-	// requests (up to MaxLanes), with every element compiled to a word-wide
-	// plane-op kernel looped over the plane words. Lane 0 replays the scalar
-	// stimulus exactly; Options.Lanes/LaneStride/ProbeLane control the
-	// batch, and Options.FaultSim turns the lane axis into a concurrent
+	// Vector is bit-parallel batched compiled mode: N independent stimulus
+	// lanes advance through the circuit simultaneously, 64 lanes per
+	// machine word and as many words per node plane as the run requests (up
+	// to MaxLanes). It is the JIT engine under its batched name — the same
+	// compiled program and step loop — and differs only in its default
+	// width: Options.Lanes 0 means one full 64-lane word. Lane 0 replays the
+	// scalar stimulus exactly; Options.Lanes/LaneStride/ProbeLane control
+	// the batch, and Options.FaultSim turns the lane axis into a concurrent
 	// stuck-at fault simulator.
 	Vector
 	// JIT is the statically compiled ("codegen") algorithm: the circuit's
@@ -239,7 +239,8 @@ const (
 	// contiguous, cost-balanced stripe of the state. Semantically it is the
 	// Compiled algorithm (unit-delay, every element every step) run
 	// through a compiler instead of an interpreter; Options.Lanes widens
-	// it to N stimulus lanes exactly as Vector (default 1).
+	// it to N stimulus lanes (default 1) and Options.FaultSim runs fault
+	// simulation on it, exactly as Vector.
 	JIT
 )
 
@@ -320,7 +321,8 @@ type Options struct {
 	// Fault lists larger than Lanes-1 chunk into multiple passes;
 	// FaultMaxPasses caps the chunk loop (0 = run the whole list) and
 	// FaultStatuses includes the per-fault site/step rows in the coverage
-	// report. Only the Vector algorithm accepts FaultSim.
+	// report. Only the lane algorithms, Vector and JIT, accept FaultSim
+	// (JIT needs Lanes >= 2 set explicitly).
 	FaultSim       bool
 	FaultMaxPasses int
 	FaultStatuses  bool
@@ -367,13 +369,13 @@ type Options struct {
 type Result struct {
 	Stats RunStats
 	// Final holds each node's value at the horizon, indexed by NodeID.
-	// For a Vector run this is lane ProbeLane's view.
+	// For a Vector or JIT run this is lane ProbeLane's view.
 	Final []Value
 	// LaneFinal holds every lane's final node values (Vector and JIT
 	// only): LaneFinal[k][n] is node n at the horizon as lane k saw it.
 	LaneFinal [][]Value
 	// FaultCoverage reports concurrent fault-simulation results
-	// (Vector with Options.FaultSim only).
+	// (Vector or JIT with Options.FaultSim only).
 	FaultCoverage *FaultCoverage
 	// Messages counts inter-worker messages (DistAsync only).
 	Messages int64
